@@ -18,7 +18,7 @@ import time
 
 from .errors import ParseError, SuperAlgError
 from .expressions import parse_element
-from .reports import SuiteReport
+from .reports import SuiteReport, residual_witness
 from .suites import SUITES
 from .supermodule import SuperMorphism, split_idempotent
 from .superring import SuperRing
@@ -75,17 +75,9 @@ def cmd_certify(args) -> int:
         "certify-idempotent",
         params={"file": args.file, "type": f"({morphism.source.p},{morphism.source.q})"},
     )
-    residual = morphism.compose(morphism) - morphism
-    offending = [
-        f"[{i}][{j}] = {entry.to_text()}"
-        for i, row in enumerate(residual.matrix)
-        for j, entry in enumerate(row)
-        if not entry.is_zero()
-    ]
+    residual = morphism.idempotence_residual()
     idempotent = report.add(
-        "idempotent",
-        not offending,
-        "residual g^2 - g: " + ("0" if not offending else "; ".join(offending[:3])),
+        "idempotent", not residual, residual_witness("residual g^2 - g", residual)
     )
     degree = morphism.degree()
     report.add(

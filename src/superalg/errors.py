@@ -21,8 +21,8 @@ class ParityError(SuperAlgError):
     """Raised when an operation requires homogeneous input of a given parity."""
 
 
-class DomainError(SuperAlgError):
-    """Raised when a precondition on values fails (body mismatch, bad root, ...)."""
+class DomainError(SuperAlgError, ValueError):
+    """Raised when a precondition on values fails (body mismatch, bad root, ...); a ValueError."""
 
 
 class ParseError(SuperAlgError):

@@ -6,6 +6,12 @@ import json
 from dataclasses import dataclass, field
 
 
+def residual_witness(label: str, entries) -> str:
+    """``label: [i][j] = entry; ...`` for the first three ``(i, j, entry)``, or ``label: 0``."""
+    listing = "; ".join(f"[{i}][{j}] = {entry.to_text()}" for i, j, entry in entries[:3])
+    return f"{label}: {listing or '0'}"
+
+
 @dataclass(frozen=True)
 class Clause:
     name: str

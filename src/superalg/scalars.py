@@ -9,14 +9,34 @@ quadratic relation, rewritten to a canonical normal form.
 Ring values are plain data (``Fraction``, ``GaussianRational``, ``int``,
 radical dicts, ``PolyValue``); all operations go through the ring object,
 which owns the normal form.
+
+Every sparse sum in the package -- radical values, quotient polynomials,
+super ring elements and jets -- is formed by :func:`collect`, which is also
+the one place where zero coefficients are dropped.  The values it receives
+must already be in their ring's normal form; it only adds them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DomainError, RingMismatchError
+
+
+def collect(ring, pairs) -> dict:
+    """Sum ``(key, value)`` pairs per key over ``ring``; zero sums are dropped.
+
+    The first value seen for a key is stored as it is, so every value must
+    already be in normal form.  Zeros are tested once per key, at the end.
+    """
+    out = {}
+    for key, value in pairs:
+        acc = out.get(key)
+        out[key] = value if acc is None else ring.add(acc, value)
+    return {key: value for key, value in out.items() if not ring.is_zero(value)}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -244,7 +264,10 @@ class IntegerModRing(CoeffRing):
         fr = Fraction(fr)
         if fr.denominator == 1:
             return fr.numerator % self.n
-        inv = pow(fr.denominator, -1, self.n)
+        try:
+            inv = pow(fr.denominator, -1, self.n)
+        except ValueError:
+            raise DomainError(f"{fr.denominator} is not invertible mod {self.n}") from None
         return (fr.numerator * inv) % self.n
 
     def add(self, u, v):
@@ -296,33 +319,19 @@ class RadicalGaussianRing(CoeffRing):
         return {s: GaussianRational(m, 0)}
 
     def add(self, u, v):
-        out = dict(u)
-        for s, c in v.items():
-            acc = out.get(s, self._base.zero()) + c
-            if acc:
-                out[s] = acc
-            else:
-                out.pop(s, None)
-        return out
+        return collect(self._base, chain(u.items(), v.items()))
 
     def neg(self, u):
         return {s: -c for s, c in u.items()}
 
     def mul(self, u, v):
-        import math
+        def products():
+            for s, c in u.items():
+                for t, d in v.items():
+                    g = math.gcd(s, t)
+                    yield (s // g) * (t // g), c * d * GaussianRational(g, 0)
 
-        out = {}
-        for s, c in u.items():
-            for t, d in v.items():
-                g = math.gcd(s, t)
-                key = (s // g) * (t // g)
-                coeff = c * d * GaussianRational(g, 0)
-                acc = out.get(key, self._base.zero()) + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return out
+        return collect(self._base, products())
 
     def eq(self, u, v):
         return u == v
@@ -363,7 +372,7 @@ class RadicalGaussianRing(CoeffRing):
         return {"kind": "gaussian_radical"}
 
 
-def _coeff_str(base, c, lead=False):
+def _coeff_str(base, c):
     s = base.to_str(c)
     if any(op in s[1:] for op in "+-") or "sqrt" in s:
         return f"({s})"
@@ -387,7 +396,8 @@ class PolyValue:
         return isinstance(other, PolyValue) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # Scalars such as radical dicts are unhashable; equal values share exponents.
+        return hash(tuple(exps for exps, _ in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -456,7 +466,7 @@ class PolyQuotientRing(CoeffRing):
         return self._rhs_powers[k]
 
     def _reduce_monomial(self, exps, c):
-        """Rewrite one monomial; returns a dict of monomials."""
+        """Rewrite one monomial; yields ``(exponents, scalar)`` terms."""
         rel = self.relation
         exps = list(exps)
         if rel.form == "square":
@@ -468,31 +478,16 @@ class PolyQuotientRing(CoeffRing):
             exps[i] -= k
             exps[j] -= k
         if k == 0:
-            return {tuple(exps): c}
-        out = {}
+            yield tuple(exps), c
+            return
         for rexp, rc in self._rhs_power(k).coeffs:
-            key = tuple(a + b for a, b in zip(exps, rexp))
-            acc = self.base.add(out.get(key, self.base.zero()), self.base.mul(c, rc))
-            if self.base.is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return out
+            yield tuple(a + b for a, b in zip(exps, rexp)), self.base.mul(c, rc)
 
     def normal_form_dict(self, d):
-        if self.relation is None:
-            return PolyValue.from_dict({e: c for e, c in d.items() if not self.base.is_zero(c)})
-        out = {}
-        for exps, c in d.items():
-            if self.base.is_zero(c):
-                continue
-            for key, part in self._reduce_monomial(exps, c).items():
-                acc = self.base.add(out.get(key, self.base.zero()), part)
-                if self.base.is_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return PolyValue.from_dict(out)
+        terms = d.items()
+        if self.relation is not None:
+            terms = chain.from_iterable(self._reduce_monomial(e, c) for e, c in terms)
+        return PolyValue.from_dict(collect(self.base, terms))
 
     def normal_form(self, p: PolyValue) -> PolyValue:
         return self.normal_form_dict(p.as_dict())
@@ -500,29 +495,18 @@ class PolyQuotientRing(CoeffRing):
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, u: PolyValue, v: PolyValue):
-        out = u.as_dict()
-        for exps, c in v.coeffs:
-            acc = self.base.add(out.get(exps, self.base.zero()), c)
-            if self.base.is_zero(acc):
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return PolyValue.from_dict(out)
+        return PolyValue.from_dict(collect(self.base, chain(u.coeffs, v.coeffs)))
 
     def neg(self, u: PolyValue):
         return PolyValue(tuple((e, self.base.neg(c)) for e, c in u.coeffs))
 
     def mul(self, u: PolyValue, v: PolyValue):
-        out = {}
-        for e1, c1 in u.coeffs:
-            for e2, c2 in v.coeffs:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = self.base.add(out.get(key, self.base.zero()), self.base.mul(c1, c2))
-                if self.base.is_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return self.normal_form_dict(out)
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), self.base.mul(c1, c2))
+            for e1, c1 in u.coeffs
+            for e2, c2 in v.coeffs
+        )
+        return self.normal_form_dict(collect(self.base, products))
 
     def is_zero(self, u: PolyValue):
         return not u.coeffs
@@ -592,18 +576,6 @@ class PolyQuotientRing(CoeffRing):
             "relation": rel,
             "base": self.base.to_json(),
         }
-
-
-def square_relation(ring_vars, base, head, rhs_dict):
-    """Build a ``v**2 -> rhs`` relation from an exponent dict."""
-    pos = {v: i for i, v in enumerate(ring_vars)}
-    d = {}
-    for exps, c in rhs_dict.items():
-        full = [0] * len(ring_vars)
-        for v, e in exps:
-            full[pos[v]] = e
-        d[tuple(full)] = c
-    return Relation("square", (head,), PolyValue.from_dict({e: c for e, c in d.items() if not base.is_zero(c)}))
 
 
 def coeff_ring_from_json(data) -> CoeffRing:

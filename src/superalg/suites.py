@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .landi import inner, ket_entries, make_bra, make_uosp_ring, pi_apply, projector_p
-from .reports import SuiteReport
+from .reports import SuiteReport, residual_witness
 from .scalars import IntegerModRing, PolyQuotientRing, RationalRing
 from .spheres import make_sphere_projector, stably_free_certificate, z6_example, z6_ring
 from .supermodule import (
@@ -526,18 +526,8 @@ def suite_landi(n: int = 1, seed: int = 0, vectors: int = 20) -> SuiteReport:
     report.add("inner-is-one", ip == ring.one(), f"<psi|psi> = {ip.to_text()}")
 
     p = projector_p(n, ring)
-    residual = p.compose(p) - p
-    nonzero = [
-        f"[{i}][{j}] = {entry.to_text()}"
-        for i, row in enumerate(residual.matrix)
-        for j, entry in enumerate(row)
-        if not entry.is_zero()
-    ]
-    report.add(
-        "idempotent",
-        not nonzero,
-        "residual p^2 - p: " + ("0" if not nonzero else "; ".join(nonzero[:3])),
-    )
+    residual = p.idempotence_residual()
+    report.add("idempotent", not residual, residual_witness("residual p^2 - p", residual))
     report.add("self-adjoint", p.super_adjoint() == p, "p+ = p")
     report.add("parity-blocks", p.degree() == 0, "entry parity = |b_i| + |b_j|")
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import multiindex as mi
 from .errors import DomainError, ParityError
-from .scalars import PolyQuotientRing, RationalRing, Relation
+from .scalars import PolyQuotientRing, RationalRing, Relation, collect
 from .superring import SuperElement, SuperRing
 
 
@@ -82,37 +83,30 @@ class Jet:
 
     def __add__(self, other):
         self._compat(other)
-        out = self.as_dict()
-        for k, v in other.table:
-            acc = self.ring.add(out.get(k, self.ring.zero()), v)
-            if self.ring.is_zero(acc):
-                out.pop(k, None)
-            else:
-                out[k] = acc
+        out = collect(self.ring, chain(self.table, other.table))
         return Jet.from_dict(self.arity, min(self.order, other.order), self.ring, out, self.base)
 
     def __mul__(self, other):
         """Leibniz product: the jet of the pointwise product, truncated."""
         self._compat(other)
         order = min(self.order, other.order)
-        out = {}
-        for k1, v1 in self.table:
-            for k2, v2 in other.table:
-                k = tuple(a + b for a, b in zip(k1, k2))
-                if sum(k) > order:
-                    continue
-                binom = 1
-                for total, part in zip(k, k1):
-                    binom *= math.comb(total, part)
-                term = self.ring.mul(v1, v2)
-                if binom != 1:
-                    term = self.ring.mul(term, self.ring.from_int(binom))
-                acc = self.ring.add(out.get(k, self.ring.zero()), term)
-                if self.ring.is_zero(acc):
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return Jet.from_dict(self.arity, order, self.ring, out, self.base)
+        ring = self.ring
+
+        def products():
+            for k1, v1 in self.table:
+                for k2, v2 in other.table:
+                    k = tuple(a + b for a, b in zip(k1, k2))
+                    if sum(k) > order:
+                        continue
+                    binom = 1
+                    for total, part in zip(k, k1):
+                        binom *= math.comb(total, part)
+                    term = ring.mul(v1, v2)
+                    if binom != 1:
+                        term = ring.mul(term, ring.from_int(binom))
+                    yield k, term
+
+        return Jet.from_dict(self.arity, order, ring, collect(ring, products()), self.base)
 
     def _compat(self, other):
         if self.arity != other.arity or self.ring != other.ring or self.base != other.base:

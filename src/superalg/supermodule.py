@@ -283,6 +283,18 @@ class SuperMorphism:
             raise ShapeError("idempotence requires a square matrix")
         return self.compose(self) == self
 
+    def idempotence_residual(self) -> list:
+        """The nonzero entries ``(i, j, entry)`` of ``self∘self - self``."""
+        if self.source != self.target:
+            raise ShapeError("idempotence requires a square matrix")
+        residual = self.compose(self) - self
+        return [
+            (i, j, entry)
+            for i, row in enumerate(residual.matrix)
+            for j, entry in enumerate(row)
+            if not entry.is_zero()
+        ]
+
     def super_adjoint(self) -> "SuperMorphism":
         """Involuted super transpose.
 

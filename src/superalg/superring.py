@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import multiindex as mi
 from .errors import CapacityError, DomainError, RingMismatchError
-from .scalars import CoeffRing, PolyQuotientRing, coeff_ring_from_json
+from .scalars import CoeffRing, PolyQuotientRing, coeff_ring_from_json, collect
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ class SuperRing:
     # -- construction ------------------------------------------------------
 
     def element(self, terms) -> "SuperElement":
-        clean = {b: c for b, c in terms.items() if not self.coeff.is_zero(c)}
-        return SuperElement(self, clean)
+        return SuperElement(self, collect(self.coeff, terms.items()))
 
     def zero(self) -> "SuperElement":
         return SuperElement(self, {})
@@ -113,6 +113,8 @@ class SuperRing:
 
     def odd_gen_at(self, index: int) -> "SuperElement":
         """Odd generator by 1-based position."""
+        if not 1 <= index <= self.odd_count:
+            raise DomainError(f"odd generator index {index} is outside 1..{self.odd_count}")
         return self.element({1 << (index - 1): self.coeff.one()})
 
     def even_gen(self, name) -> "SuperElement":
@@ -205,15 +207,8 @@ class SuperElement:
 
     def __add__(self, other):
         self._check(other)
-        coeff = self.ring.coeff
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            acc = coeff.add(out.get(b, coeff.zero()), c)
-            if coeff.is_zero(acc):
-                out.pop(b, None)
-            else:
-                out[b] = acc
-        return SuperElement(self.ring, out)
+        terms = chain(self.terms.items(), other.terms.items())
+        return SuperElement(self.ring, collect(self.ring.coeff, terms))
 
     def __neg__(self):
         coeff = self.ring.coeff
@@ -227,22 +222,18 @@ class SuperElement:
             return self.scale(Fraction(other))
         self._check(other)
         coeff = self.ring.coeff
-        out = {}
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                merged = mi.merge_bits(b1, b2)
-                if merged is None:
-                    continue
-                bits, sign = merged
-                c = coeff.mul(c1, c2)
-                if sign < 0:
-                    c = coeff.neg(c)
-                acc = coeff.add(out.get(bits, coeff.zero()), c)
-                if coeff.is_zero(acc):
-                    out.pop(bits, None)
-                else:
-                    out[bits] = acc
-        return SuperElement(self.ring, out)
+
+        def products():
+            for b1, c1 in self.terms.items():
+                for b2, c2 in other.terms.items():
+                    merged = mi.merge_bits(b1, b2)
+                    if merged is None:
+                        continue
+                    bits, sign = merged
+                    c = coeff.mul(c1, c2)
+                    yield bits, (c if sign > 0 else coeff.neg(c))
+
+        return SuperElement(self.ring, collect(coeff, products()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -334,39 +325,35 @@ class SuperElement:
         coeff = self.ring.coeff
         names = self.ring.odd_names
         pos = self.ring._odd_pos
-        out = {}
-        for bits, c in self.terms.items():
-            c = self.ring.coeff_involute(c)
-            k = bits.bit_count()
-            sign = -1 if (k * (k - 1) // 2) & 1 else 1
-            # Reverse the factors, map each through the table, re-sort.
-            mapped = []
-            for i in reversed(mi.indices_from_bits(bits)):
-                name = names[i - 1]
-                partner, s = odd_map.get(name, (name, 1))
-                sign *= s
-                mapped.append(pos[partner])
-            # Insertion-count the inversions of the mapped position sequence.
-            inversions = 0
-            for a in range(len(mapped)):
-                for b in range(a + 1, len(mapped)):
-                    if mapped[a] > mapped[b]:
-                        inversions += 1
-            if inversions & 1:
-                sign = -sign
-            new_bits = 0
-            for p in mapped:
-                if new_bits & (1 << p):
-                    raise DomainError("involution table is not a bijection on odd generators")
-                new_bits |= 1 << p
-            if sign < 0:
-                c = coeff.neg(c)
-            acc = coeff.add(out.get(new_bits, coeff.zero()), c)
-            if coeff.is_zero(acc):
-                out.pop(new_bits, None)
-            else:
-                out[new_bits] = acc
-        return SuperElement(self.ring, out)
+
+        def images():
+            for bits, c in self.terms.items():
+                c = self.ring.coeff_involute(c)
+                k = bits.bit_count()
+                sign = -1 if (k * (k - 1) // 2) & 1 else 1
+                # Reverse the factors, map each through the table, re-sort.
+                mapped = []
+                for i in reversed(mi.indices_from_bits(bits)):
+                    name = names[i - 1]
+                    partner, s = odd_map.get(name, (name, 1))
+                    sign *= s
+                    mapped.append(pos[partner])
+                # Insertion-count the inversions of the mapped position sequence.
+                inversions = 0
+                for a in range(len(mapped)):
+                    for b in range(a + 1, len(mapped)):
+                        if mapped[a] > mapped[b]:
+                            inversions += 1
+                if inversions & 1:
+                    sign = -sign
+                new_bits = 0
+                for p in mapped:
+                    if new_bits & (1 << p):
+                        raise DomainError("involution table is not a bijection on odd generators")
+                    new_bits |= 1 << p
+                yield new_bits, (c if sign > 0 else coeff.neg(c))
+
+        return SuperElement(self.ring, collect(coeff, images()))
 
     # -- printing and serialization ----------------------------------------------
 
@@ -412,20 +399,22 @@ class SuperElement:
     @classmethod
     def terms_from_json(cls, ring: SuperRing, data):
         coeff = ring.coeff
-        result = ring.zero()
-        for item in data:
-            bits = mi.bits_from_indices(item.get("odd", ())) if item.get("odd") else 0
-            if isinstance(coeff, PolyQuotientRing):
-                value = coeff.monomial(
-                    [item.get("even", {}).get(v, 0) for v in coeff.variables],
-                    coeff.base.value_from_json(item["coeff"]),
-                )
-            else:
-                if item.get("even"):
-                    raise DomainError("ring has no even polynomial generators")
-                value = coeff.value_from_json(item["coeff"])
-            result = result + SuperElement(ring, {bits: value} if not coeff.is_zero(value) else {})
-        return result
+
+        def terms():
+            for item in data:
+                bits = mi.bits_from_indices(item.get("odd", ())) if item.get("odd") else 0
+                if isinstance(coeff, PolyQuotientRing):
+                    value = coeff.monomial(
+                        [item.get("even", {}).get(v, 0) for v in coeff.variables],
+                        coeff.base.value_from_json(item["coeff"]),
+                    )
+                else:
+                    if item.get("even"):
+                        raise DomainError("ring has no even polynomial generators")
+                    value = coeff.value_from_json(item["coeff"])
+                yield bits, value
+
+        return SuperElement(ring, collect(coeff, terms()))
 
     @classmethod
     def from_json(cls, data):

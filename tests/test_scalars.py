@@ -98,6 +98,10 @@ class TestIntegerMod:
         with pytest.raises(ValueError):
             z6.from_fraction(Fraction(1, 2))
 
+    def test_from_fraction_non_invertible_denominator_is_domain_error(self):
+        with pytest.raises(DomainError, match="not invertible mod 6"):
+            IntegerModRing(6).from_fraction(Fraction(1, 2))
+
     def test_modulus_bound(self):
         with pytest.raises(DomainError):
             IntegerModRing(1)

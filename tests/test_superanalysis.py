@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superalg.errors import DomainError, ParityError
+from superalg.landi import make_uosp_ring
 from superalg.scalars import RationalRing
 from superalg.suites import PYTHAGOREAN, random_even_soul
 from superalg.superanalysis import (
@@ -105,6 +106,15 @@ class TestJets:
         f = poly_jet([Fraction(1), Fraction(1, 2)], Fraction(0))
         data = f.to_json()
         assert Jet.from_json(data, RR, base=(Fraction(0),)) == f
+
+
+    def test_jet_over_radical_quotient_ring_is_hashable(self):
+        coeff = make_uosp_ring().coeff
+        a = coeff.var("a")
+        assert hash(a) == hash(coeff.var("a"))
+        assert {a: 1}[coeff.var("a")] == 1
+        jet = Jet.constant(a, coeff)
+        assert hash(jet) == hash(Jet.constant(coeff.var("a"), coeff))
 
 
 class TestGInfinity:

@@ -152,6 +152,16 @@ class TestSplitting:
             g.ring, g.source, g.source
         )
 
+    def test_idempotence_residual(self):
+        g = make_sphere_projector(1).g
+        assert g.idempotence_residual() == []
+        t = FreeType(1, 1)
+        two = SuperMorphism.scalar(RING, t, RING.from_fraction(2))
+        # 2*2 - 2 = 2 on both diagonal entries
+        assert two.idempotence_residual() == [(0, 0, RING.from_fraction(2)), (1, 1, RING.from_fraction(2))]
+        with pytest.raises(ShapeError):
+            SuperMorphism.zero(RING, FreeType(1, 0), FreeType(2, 0)).idempotence_residual()
+
     def test_split_rejects_non_idempotent(self):
         t = FreeType(1, 0)
         two = SuperMorphism.scalar(RING, t, RING.from_fraction(2))

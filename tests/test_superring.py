@@ -76,6 +76,12 @@ def test_powers_and_nilpotency():
         x ** -1
 
 
+@pytest.mark.parametrize("index", [0, 3])
+def test_odd_gen_at_rejects_out_of_range_index(index):
+    with pytest.raises(DomainError, match="outside 1..2"):
+        grassmann_ring(2).odd_gen_at(index)
+
+
 def test_body_soul():
     ring = grassmann_ring(3)
     x = ring.from_fraction(Fraction(3, 2)) + ring.odd_gen_at(1) * ring.odd_gen_at(2)
