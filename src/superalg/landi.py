@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError
@@ -56,6 +57,11 @@ class BraVector:
     @property
     def ftype(self) -> FreeType:
         return FreeType(self.n + 1, self.n)
+
+    @cached_property
+    def ket(self) -> tuple:
+        """``ket_entries(self)``, involuted once per bra."""
+        return ket_entries(self)
 
 
 def make_bra(n: int, ring: SuperRing = None) -> BraVector:
@@ -104,4 +110,4 @@ def pi_apply(bra: BraVector, v: ModElement) -> ModElement:
     pairing = bra.ring.zero()
     for psi, c in zip(bra.entries, v.coeffs):
         pairing = pairing + psi * c
-    return ModElement(bra.ring, bra.ftype, [ki * pairing for ki in ket_entries(bra)])
+    return ModElement(bra.ring, bra.ftype, [ki * pairing for ki in bra.ket])

@@ -8,7 +8,11 @@ quadratic relation, rewritten to a canonical normal form.
 
 Ring values are plain data (``Fraction``, ``GaussianRational``, ``int``,
 radical dicts, ``PolyValue``); all operations go through the ring object,
-which owns the normal form.
+which owns the normal form.  A ``GaussianRational`` is a reduced integer
+triple ``(a + b*i)/d``, so Gaussian and radical arithmetic builds no
+``Fraction``.  Every value is falsy exactly when it is zero (``PolyValue``
+aside), which is the zero test.  A ring's identity is ``repr(to_json())``,
+built once per ring object; ``==`` on rings compares it after an ``is`` test.
 
 Every sparse sum in the package -- radical values, quotient polynomials,
 super ring elements and jets -- is formed by :func:`collect`, which is also
@@ -44,59 +48,108 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number ``(a + b*i)/d``, stored as three reduced integers.
 
-    __slots__ = ("re", "im")
+    ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal triples
+    and ``==``/``hash`` compare the integers.  ``re`` and ``im`` are
+    ``Fraction`` views built on demand; the arithmetic never builds one.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = re if isinstance(re, (int, Fraction)) else Fraction(re)
+        im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        if self.d == other.d:
+            return _gaussian(self.a + other.a, self.b + other.b, self.d)
+        return _gaussian(
+            self.a * other.d + other.a * self.d, self.b * other.d + other.b * self.d, self.d * other.d
         )
 
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _reduced(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _gaussian(a * c - b * e, a * e + b * c, self.d * other.d)
+
+    def scale(self, n: int):
+        """The product with the integer ``n``."""
+        g = math.gcd(n, self.d)
+        return _reduced(self.a * (n // g), self.b * (n // g), self.d // g)
+
     def __eq__(self, other):
-        return isinstance(other, GaussianRational) and self.re == other.re and self.im == other.im
+        return (
+            isinstance(other, GaussianRational)
+            and self.a == other.a
+            and self.b == other.b
+            and self.d == other.d
+        )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def conj(self):
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        n = self.a * self.a + self.b * self.b
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gaussian(self.d * self.a, -self.d * self.b, n)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i" if self.im != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i" if im != 1 else "i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else f"{mag}*i"
-        return f"{self.re}{sign}{istr}"
+        return f"{re}{sign}{istr}"
+
+
+def _reduced(a, b, d):
+    """A ``GaussianRational`` from a triple that is already reduced."""
+    z = object.__new__(GaussianRational)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _gaussian(a, b, d):
+    """``(a + b*i)/d`` for integers with ``d > 0``, reduced by one gcd."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _reduced(a, b, d)
 
 
 def squarefree_split(n: int):
@@ -150,7 +203,7 @@ class CoeffRing:
         return u == v
 
     def is_zero(self, u):
-        return self.eq(u, self.zero())
+        return not u
 
     def conj(self, u):
         return u
@@ -171,11 +224,18 @@ class CoeffRing:
     def to_json(self):
         raise NotImplementedError
 
+    def _identity(self):
+        """``repr(self.to_json())``, built on first use: rings do not change."""
+        identity = self.__dict__.get("_identity_text")
+        if identity is None:
+            identity = self._identity_text = repr(self.to_json())
+        return identity
+
     def __eq__(self, other):
-        return type(self) is type(other) and self.to_json() == other.to_json()
+        return self is other or (type(self) is type(other) and self._identity() == other._identity())
 
     def __hash__(self):
-        return hash(repr(self.to_json()))
+        return hash(self._identity())
 
 
 class RationalRing(CoeffRing):
@@ -329,15 +389,10 @@ class RadicalGaussianRing(CoeffRing):
             for s, c in u.items():
                 for t, d in v.items():
                     g = math.gcd(s, t)
-                    yield (s // g) * (t // g), c * d * GaussianRational(g, 0)
+                    cd = c * d
+                    yield (s // g) * (t // g), (cd if g == 1 else cd.scale(g))
 
         return collect(self._base, products())
-
-    def eq(self, u, v):
-        return u == v
-
-    def is_zero(self, u):
-        return not u
 
     def conj(self, u):
         return {s: c.conj() for s, c in u.items()}
@@ -361,12 +416,17 @@ class RadicalGaussianRing(CoeffRing):
         return [{"rad": s, "re": str(c.re), "im": str(c.im)} for s, c in sorted(u.items())]
 
     def value_from_json(self, data):
-        out = {}
-        for item in data:
-            g = GaussianRational(_parse_fraction(item["re"]), _parse_fraction(item["im"]))
-            if g:
-                out[int(item["rad"])] = g
-        return out
+        """Radicands are split to squarefree form and repeats are summed."""
+
+        def terms():
+            for item in data:
+                if type(item["rad"]) not in (int, str):
+                    raise DomainError(f"radicand {item['rad']!r} is not an integer")
+                m, s = squarefree_split(int(item["rad"]))
+                g = GaussianRational(_parse_fraction(item["re"]), _parse_fraction(item["im"]))
+                yield s, g.scale(m)
+
+        return collect(self._base, terms())
 
     def to_json(self):
         return {"kind": "gaussian_radical"}
@@ -578,23 +638,39 @@ class PolyQuotientRing(CoeffRing):
         }
 
 
+def json_mapping(data, what: str) -> dict:
+    """``data`` if it is a JSON object; ``DomainError`` names ``what`` otherwise."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def json_names(data, what: str) -> tuple:
+    """``data`` as a tuple if it is a JSON list of strings; ``DomainError`` otherwise."""
+    if not isinstance(data, (list, tuple)) or not all(isinstance(name, str) for name in data):
+        raise DomainError(f"{what} must be a list of strings")
+    return tuple(data)
+
+
 def coeff_ring_from_json(data) -> CoeffRing:
-    kind = data["kind"]
+    kind = json_mapping(data, "a coefficient ring descriptor").get("kind")
     if kind == "rational":
         return RationalRing()
     if kind == "gaussian_rational":
         return GaussianRationalRing()
     if kind == "integer_mod":
+        if not isinstance(data.get("n"), (int, str)):
+            raise DomainError("integer_mod needs an integer modulus 'n'")
         return IntegerModRing(int(data["n"]))
     if kind == "gaussian_radical":
         return RadicalGaussianRing()
     if kind == "poly_quotient":
-        base = coeff_ring_from_json(data["base"])
-        variables = tuple(data["vars"])
+        base = coeff_ring_from_json(data.get("base"))
+        variables = json_names(data.get("vars"), "'vars'")
         ring = PolyQuotientRing(base, variables)
         rel = data.get("relation")
         if rel is not None:
-            lead = rel["lead"]
+            lead = json_mapping(rel, "'relation'").get("lead")
             rhs_data = rel["rhs"]
             if isinstance(rhs_data, str):
                 rhs = _parse_poly_text(ring, rhs_data)
@@ -604,8 +680,10 @@ def coeff_ring_from_json(data) -> CoeffRing:
                 lead = lead.split("*")
             if isinstance(lead, str):
                 relation = Relation("square", (lead,), rhs)
-            else:
+            elif len(json_names(lead, "'lead'")) == 2:
                 relation = Relation("product", tuple(lead), rhs)
+            else:
+                raise DomainError("'lead' must name one variable or a product of two")
             ring = PolyQuotientRing(base, variables, relation)
         return ring
     raise DomainError(f"unknown coefficient ring kind {kind!r}")

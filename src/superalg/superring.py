@@ -18,7 +18,14 @@ from itertools import chain
 
 from . import multiindex as mi
 from .errors import CapacityError, DomainError, RingMismatchError
-from .scalars import CoeffRing, PolyQuotientRing, coeff_ring_from_json, collect
+from .scalars import (
+    CoeffRing,
+    PolyQuotientRing,
+    coeff_ring_from_json,
+    collect,
+    json_mapping,
+    json_names,
+)
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,13 @@ class Involution:
 
     @classmethod
     def from_json(cls, data):
-        return cls.from_pairs(
-            [tuple(p) for p in data.get("even_pairs", [])],
-            [tuple(p) for p in data.get("odd_pairs", [])],
-        )
+        def pairs(key):
+            found = data.get(key, [])
+            if not isinstance(found, list) or any(len(json_names(p, key)) != 2 for p in found):
+                raise DomainError(f"'{key}' must be a list of name pairs")
+            return [tuple(p) for p in found]
+
+        return cls.from_pairs(pairs("even_pairs"), pairs("odd_pairs"))
 
 
 class SuperRing:
@@ -158,16 +168,17 @@ class SuperRing:
 
     @classmethod
     def from_json(cls, data):
-        coeff = coeff_ring_from_json(data["coeffs"])
+        data = json_mapping(data, "a ring descriptor")
+        coeff = coeff_ring_from_json(data.get("coeffs"))
         inv = data.get("involution")
         return cls(
             coeff,
-            tuple(data.get("odd_generators", ())),
-            Involution.from_json(inv) if inv else None,
+            json_names(data.get("odd_generators", []), "'odd_generators'"),
+            Involution.from_json(json_mapping(inv, "'involution'")) if inv else None,
         )
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SuperRing)
             and self.coeff == other.coeff
             and self.odd_names == other.odd_names

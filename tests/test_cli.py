@@ -119,3 +119,36 @@ def test_no_color_env_strips_ansi(capsys, monkeypatch, grassmann_ring_file):
     monkeypatch.setenv("NO_COLOR", "1")
     _, out, _ = run(capsys, "verify", "z6")
     assert "\x1b[" not in out
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"coeffs": {"kind": "rational"}, "odd_generators": 5},
+        {"coeffs": {"kind": "rational"}, "odd_generators": ["b1", 2]},
+        [{"coeffs": {"kind": "rational"}}],
+        {"coeffs": {"kind": "octonion"}},
+        {"coeffs": [{"kind": "rational"}]},
+        {"coeffs": {"kind": "poly_quotient", "vars": 5, "base": {"kind": "rational"}}},
+        {"coeffs": {"kind": "poly_quotient", "vars": ["x"], "base": "rational"}},
+        {"coeffs": {"kind": "integer_mod", "n": [6]}},
+        {"coeffs": {"kind": "rational"}, "odd_generators": ["b1"], "involution": [["b1", "b1"]]},
+    ],
+)
+def test_eval_malformed_ring_descriptor_exit_two(capsys, tmp_path, descriptor):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(descriptor))
+    code, out, err = run(capsys, "eval", "1", "--ring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_certify_malformed_ring_exit_two(capsys, tmp_path):
+    data = make_sphere_projector(1).g.to_json()
+    data["ring"]["odd_generators"] = 5
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "certify", str(path))
+    assert code == 2
+    assert "odd_generators" in err and "Traceback" not in err

@@ -118,3 +118,18 @@ def test_pi_shape_check():
     wrong = ModElement.zero(RING, FreeType(2, 2))
     with pytest.raises(DomainError):
         pi_apply(bra, wrong)
+
+
+def test_pi_apply_involutes_the_ket_once_per_bra(monkeypatch):
+    import superalg.landi as landi
+
+    calls = []
+    original = landi.ket_entries
+    monkeypatch.setattr(landi, "ket_entries", lambda bra: calls.append(bra) or original(bra))
+    bra = make_bra(2)
+    rng = random.Random(3)
+    v = ModElement(RING, bra.ftype, [random_element(rng, RING) for _ in range(bra.ftype.size)])
+    for _ in range(4):
+        v = pi_apply(bra, v)
+    assert len(calls) == 1
+    assert bra.ket == original(bra)

@@ -1,0 +1,176 @@
+"""The integer-triple Gaussian type against a Fraction-pair oracle, radical
+JSON normal form, and ring identities that are built once."""
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from superalg.errors import DomainError
+from superalg.landi import make_uosp_ring
+from superalg.scalars import (
+    GaussianRational,
+    GaussianRationalRing,
+    PolyQuotientRing,
+    RadicalGaussianRing,
+)
+
+
+class PairGaussian:
+    """Reference Gaussian rational: two ``Fraction`` parts, plain formulas."""
+
+    def __init__(self, re, im):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        return PairGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return PairGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return PairGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return PairGaussian(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def conj(self):
+        return PairGaussian(self.re, -self.im)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return PairGaussian(self.re / n, -self.im / n)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}*i" if self.im != 1 else "i"
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        istr = "i" if mag == 1 else f"{mag}*i"
+        return f"{self.re}{sign}{istr}"
+
+
+parts = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 4)]),
+)
+pairs = st.tuples(parts, parts)
+
+
+def agrees(value, ref):
+    """``value`` matches the reference and is a reduced triple."""
+    return (
+        isinstance(value, GaussianRational)
+        and value.d > 0
+        and math.gcd(value.a, value.b, value.d) == 1
+        and (value.re, value.im) == (ref.re, ref.im)
+        and str(value) == str(ref)
+        and repr(value) == repr(ref)
+        and bool(value) == bool(ref)
+    )
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(x, y):
+    u, v = GaussianRational(*x), GaussianRational(*y)
+    ru, rv = PairGaussian(*x), PairGaussian(*y)
+    assert agrees(u, ru) and agrees(v, rv)
+    assert agrees(u + v, ru + rv)
+    assert agrees(u - v, ru - rv)
+    assert agrees(u * v, ru * rv)
+    assert agrees(-u, -ru)
+    assert agrees(u.conj(), ru.conj())
+    if ru:
+        assert agrees(u.inverse(), ru.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            u.inverse()
+
+
+@given(pairs, pairs)
+def test_equality_and_hash_match_fraction_pairs(x, y):
+    u, v = GaussianRational(*x), GaussianRational(*y)
+    ru, rv = PairGaussian(*x), PairGaussian(*y)
+    assert (u == v) == ((ru.re, ru.im) == (rv.re, rv.im))
+    # The same value reached by another route is equal and hashes alike.
+    again = GaussianRational(x[0]) + GaussianRational(0, x[1]) * GaussianRational(1)
+    assert again == u and hash(again) == hash(u)
+    assert (u + v) - v == u and hash((u + v) - v) == hash(u)
+    assert u != ru
+
+
+@given(parts, st.integers(-50, 50))
+def test_scale_by_integer_matches_product(x, n):
+    u = GaussianRational(x, x)
+    assert agrees(u.scale(n), PairGaussian(x, x) * PairGaussian(n, 0))
+
+
+@given(pairs)
+def test_gaussian_json_round_trip(x):
+    ring = GaussianRationalRing()
+    u = GaussianRational(*x)
+    assert ring.value_from_json(ring.value_to_json(u)) == u
+    assert ring.value_to_json(u) == {"re": str(PairGaussian(*x).re), "im": str(PairGaussian(*x).im)}
+
+
+@given(st.dictionaries(st.sampled_from([1, 2, 3, 6, 15]), pairs, max_size=4))
+def test_radical_json_round_trip(raw):
+    ring = RadicalGaussianRing()
+    value = {s: GaussianRational(*x) for s, x in raw.items() if GaussianRational(*x)}
+    assert ring.value_from_json(ring.value_to_json(value)) == value
+
+
+class TestRadicalJsonNormalForm:
+    ring = RadicalGaussianRing()
+
+    def test_square_factor_is_extracted(self):
+        loaded = self.ring.value_from_json([{"rad": 4, "re": "1", "im": "0"}])
+        assert loaded == self.ring.from_int(2)
+        loaded = self.ring.value_from_json([{"rad": 12, "re": "1/2", "im": "1"}])
+        expected = self.ring.mul(self.ring.sqrt_int(3), self.ring.from_gaussian(GaussianRational(1, 2)))
+        assert loaded == expected
+
+    def test_repeated_radicands_are_summed(self):
+        item = {"rad": 2, "re": "1", "im": "0"}
+        loaded = self.ring.value_from_json([item, item])
+        assert loaded == self.ring.mul(self.ring.from_int(2), self.ring.sqrt_int(2))
+        cancel = self.ring.value_from_json([item, {"rad": 8, "re": "-1/2", "im": "0"}])
+        assert cancel == self.ring.zero()
+
+    @pytest.mark.parametrize("rad", [0, -3, 2.5, None])
+    def test_bad_radicand_is_rejected(self, rad):
+        with pytest.raises(DomainError):
+            self.ring.value_from_json([{"rad": rad, "re": "1", "im": "0"}])
+
+
+def test_ring_identity_is_built_once(monkeypatch):
+    calls = Counter()
+    for cls in (PolyQuotientRing, RadicalGaussianRing):
+
+        def counting(self, _original=cls.to_json):
+            calls[id(self)] += 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, "to_json", counting)
+    one, other = make_uosp_ring(), make_uosp_ring()
+    x = one.even_gen("a") + one.odd_gen("eta")
+    y = other.even_gen("ad") - other.odd_gen("etad")
+    z = one.even_gen("b") * one.odd_gen("etad")
+    for _ in range(50):
+        x * y
+        x * z
+    assert (x * y) * z == x * (y * z)
+    assert max(calls.values()) <= 1
