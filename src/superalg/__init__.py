@@ -15,7 +15,7 @@ from .errors import (
     ShapeError,
     SuperAlgError,
 )
-from .multiindex import MultiIndex, enumerate_indices, merge_bits
+from .multiindex import merge_bits
 from .scalars import (
     GaussianRational,
     GaussianRationalRing,

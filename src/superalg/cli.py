@@ -86,11 +86,9 @@ def cmd_certify(args) -> int:
         f"morphism degree: {'mixed' if degree is None else degree}",
     )
     if idempotent:
-        split = split_idempotent(morphism)
-        ident = SuperMorphism.identity(morphism.ring, morphism.source)
         report.add(
             "split-round-trip",
-            split.iso_inv.compose(split.iso) == ident,
+            split_idempotent(morphism).round_trip_holds(),
             "x -> (g(x), x - g(x)) inverts; F = Im g + Ker g",
         )
     report.wall_time = time.perf_counter() - start

@@ -1,9 +1,10 @@
-"""Multi-index bookkeeping for anticommuting monomials.
+"""Bitmask bookkeeping for anticommuting monomials.
 
-A multi-index is a strictly increasing tuple of positive integers labelling
-a product of odd generators.  It is stored as a bitmask (bit ``i - 1`` set
-means index ``i`` is present), which caps the generator count at 64.  The
-empty index (bitmask 0) labels the unit monomial.
+A product of odd generators is labelled by a bitmask: bit ``i - 1`` set means
+generator ``i`` is a factor, which caps the generator count at 64, and
+bitmask 0 labels the unit monomial.  The functions here pack and unpack the
+strictly increasing index tuple of a bitmask, multiply two monomials with
+their sign, and give the canonical print order.
 
 The sign of a product of two monomials is ``(-1)**inversions``, where
 ``inversions`` counts the transpositions needed to interleave the two sorted
@@ -12,8 +13,6 @@ inversion.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import CapacityError
 
@@ -67,60 +66,3 @@ def merge_bits(mu: int, nu: int):
 def sort_key(bits: int):
     """Canonical ordering: by length, then lexicographically by indices."""
     return (bits.bit_count(), indices_from_bits(bits))
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A strictly increasing index tuple, bitmask-backed."""
-
-    bits: int = 0
-
-    @classmethod
-    def from_indices(cls, indices) -> "MultiIndex":
-        return cls(bits_from_indices(indices))
-
-    @property
-    def indices(self) -> tuple:
-        return indices_from_bits(self.bits)
-
-    @property
-    def length(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def parity(self) -> int:
-        return self.length & 1
-
-    def merge(self, other: "MultiIndex"):
-        """Product with ``other``: ``(MultiIndex, sign)`` or ``None`` if annihilated."""
-        merged = merge_bits(self.bits, other.bits)
-        if merged is None:
-            return None
-        bits, sign = merged
-        return MultiIndex(bits), sign
-
-    def to_text(self) -> str:
-        """Text form ``b[1]b[3]``; the empty index prints as ``1``."""
-        if not self.bits:
-            return "1"
-        return "".join(f"b[{i}]" for i in self.indices)
-
-    def to_json(self) -> list:
-        return list(self.indices)
-
-    @classmethod
-    def from_json(cls, data) -> "MultiIndex":
-        return cls.from_indices(data)
-
-    def __lt__(self, other: "MultiIndex") -> bool:
-        return sort_key(self.bits) < sort_key(other.bits)
-
-
-def enumerate_indices(L: int):
-    """All ``2**L`` multi-indices with entries at most ``L``, canonically ordered."""
-    if L < 0:
-        raise ValueError("generator count must be nonnegative")
-    if L > MAX_GENERATORS:
-        raise CapacityError(f"generator count {L} exceeds {MAX_GENERATORS}")
-    masks = sorted(range(1 << L), key=sort_key)
-    return [MultiIndex(m) for m in masks]

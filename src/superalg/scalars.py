@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .errors import DomainError, RingMismatchError
+from .errors import DomainError
 
 
 def collect(ring, pairs) -> dict:
@@ -43,8 +43,8 @@ def collect(ring, pairs) -> dict:
     return {key: value for key, value in out.items() if not ring.is_zero(value)}
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _parse_fraction(text) -> Fraction:
+    return Fraction(str(text).strip())
 
 
 class GaussianRational:
@@ -263,7 +263,7 @@ class RationalRing(CoeffRing):
         return str(u)
 
     def value_from_json(self, data):
-        return _parse_fraction(str(data))
+        return _parse_fraction(data)
 
     def to_json(self):
         return {"kind": "rational"}
@@ -300,6 +300,7 @@ class GaussianRationalRing(CoeffRing):
         return {"re": str(u.re), "im": str(u.im)}
 
     def value_from_json(self, data):
+        data = json_mapping(data, "a Gaussian value")
         return GaussianRational(_parse_fraction(data["re"]), _parse_fraction(data["im"]))
 
     def to_json(self):
@@ -343,7 +344,7 @@ class IntegerModRing(CoeffRing):
         return u
 
     def value_from_json(self, data):
-        return int(data) % self.n
+        return self.from_fraction(_parse_fraction(data))
 
     def to_json(self):
         return {"kind": "integer_mod", "n": self.n}
@@ -398,7 +399,7 @@ class RadicalGaussianRing(CoeffRing):
         return {s: c.conj() for s, c in u.items()}
 
     def key(self, u):
-        return tuple(sorted((s, c.re, c.im) for s, c in u.items()))
+        return tuple(sorted((s, c.a, c.b, c.d) for s, c in u.items()))
 
     def to_str(self, u):
         if not u:
@@ -417,9 +418,12 @@ class RadicalGaussianRing(CoeffRing):
 
     def value_from_json(self, data):
         """Radicands are split to squarefree form and repeats are summed."""
+        if not isinstance(data, list):
+            raise DomainError("a radical value must be a list of terms")
 
         def terms():
             for item in data:
+                item = json_mapping(item, "a radical term")
                 if type(item["rad"]) not in (int, str):
                     raise DomainError(f"radicand {item['rad']!r} is not an integer")
                 m, s = squarefree_split(int(item["rad"]))
@@ -448,9 +452,6 @@ class PolyValue:
     @classmethod
     def from_dict(cls, d):
         return cls(tuple(sorted(d.items(), key=lambda kv: kv[0])))
-
-    def as_dict(self):
-        return dict(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, PolyValue) and self.coeffs == other.coeffs
@@ -548,9 +549,6 @@ class PolyQuotientRing(CoeffRing):
         if self.relation is not None:
             terms = chain.from_iterable(self._reduce_monomial(e, c) for e, c in terms)
         return PolyValue.from_dict(collect(self.base, terms))
-
-    def normal_form(self, p: PolyValue) -> PolyValue:
-        return self.normal_form_dict(p.as_dict())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -650,6 +648,13 @@ def json_names(data, what: str) -> tuple:
     if not isinstance(data, (list, tuple)) or not all(isinstance(name, str) for name in data):
         raise DomainError(f"{what} must be a list of strings")
     return tuple(data)
+
+
+def json_count(data, what: str) -> int:
+    """``data`` if it is a JSON integer ``>= 0``; ``DomainError`` names ``what`` otherwise."""
+    if type(data) is not int or data < 0:
+        raise DomainError(f"{what} must be a nonnegative integer, not {data!r}")
+    return data
 
 
 def coeff_ring_from_json(data) -> CoeffRing:

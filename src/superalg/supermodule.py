@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, ParityError, RingMismatchError, ShapeError
+from .scalars import json_count, json_mapping
 from .superring import SuperElement, SuperRing
 
 
@@ -44,7 +45,8 @@ class FreeType:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["p"]), int(data["q"]))
+        data = json_mapping(data, "a free type")
+        return cls(json_count(data.get("p"), "rank 'p'"), json_count(data.get("q"), "rank 'q'"))
 
 
 class ModElement:
@@ -151,7 +153,7 @@ class ModElement:
 class SuperMorphism:
     """A right-linear map between free supermodules, stored as a matrix."""
 
-    __slots__ = ("ring", "source", "target", "matrix")
+    __slots__ = ("ring", "source", "target", "matrix", "_residual")
 
     def __init__(self, ring: SuperRing, source: FreeType, target: FreeType, matrix):
         matrix = tuple(tuple(row) for row in matrix)
@@ -164,6 +166,7 @@ class SuperMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._residual = None
 
     @classmethod
     def identity(cls, ring: SuperRing, ftype: FreeType):
@@ -279,21 +282,22 @@ class SuperMorphism:
         )
 
     def is_idempotent(self) -> bool:
-        if self.source != self.target:
-            raise ShapeError("idempotence requires a square matrix")
-        return self.compose(self) == self
+        return not self.idempotence_residual()
 
     def idempotence_residual(self) -> list:
-        """The nonzero entries ``(i, j, entry)`` of ``self∘self - self``."""
-        if self.source != self.target:
-            raise ShapeError("idempotence requires a square matrix")
-        residual = self.compose(self) - self
-        return [
-            (i, j, entry)
-            for i, row in enumerate(residual.matrix)
-            for j, entry in enumerate(row)
-            if not entry.is_zero()
-        ]
+        """The nonzero entries ``(i, j, entry)`` of ``self∘self - self``.
+
+        A morphism never changes, so this is computed once per morphism, on the
+        first call; each call returns a new list.
+        """
+        if self._residual is None:
+            if self.source != self.target:
+                raise ShapeError("idempotence requires a square matrix")
+            rows = (self.compose(self) - self).matrix
+            self._residual = tuple(
+                (i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zero()
+            )
+        return list(self._residual)
 
     def super_adjoint(self) -> "SuperMorphism":
         """Involuted super transpose.
@@ -327,13 +331,14 @@ class SuperMorphism:
 
     @classmethod
     def from_json(cls, data):
+        data = json_mapping(data, "a morphism")
         ring = SuperRing.from_json(data["ring"])
         source = FreeType.from_json(data["source"])
         target = FreeType.from_json(data["target"])
-        matrix = [
-            [SuperElement.terms_from_json(ring, entry) for entry in row]
-            for row in data["matrix"]
-        ]
+        rows = data["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise DomainError("'matrix' must be a list of rows")
+        matrix = [[SuperElement.terms_from_json(ring, entry) for entry in row] for row in rows]
         return cls(ring, source, target, matrix)
 
     def __repr__(self):
@@ -378,6 +383,11 @@ class SplitData:
     iso: SuperMorphism  # F -> F + F, x -> (g(x), x - g(x))
     iso_inv: SuperMorphism  # F + F -> F, (p, h) -> p + h
 
+    def round_trip_holds(self) -> bool:
+        """``iso_inv after iso`` is the identity on ``F``."""
+        g = self.image_projector
+        return self.iso_inv.compose(self.iso) == SuperMorphism.identity(g.ring, g.source)
+
 
 def _stack_vertical(top: SuperMorphism, bottom: SuperMorphism) -> SuperMorphism:
     if top.source != bottom.source:
@@ -408,6 +418,11 @@ def split_idempotent(g: SuperMorphism) -> SplitData:
     return SplitData(g, complement, iso, iso_inv)
 
 
+def _require_section(g: SuperMorphism, s: SuperMorphism):
+    if g.compose(s) != SuperMorphism.identity(g.ring, g.target):
+        raise DomainError("section contract violated: g after s is not the identity")
+
+
 def section_splitting(g: SuperMorphism, s: SuperMorphism):
     """Splitting of a surjection ``g: F -> P`` along a section ``s``.
 
@@ -417,9 +432,7 @@ def section_splitting(g: SuperMorphism, s: SuperMorphism):
     """
     if g.source != s.target or g.target != s.source:
         raise ShapeError("section shape mismatch")
-    ident_p = SuperMorphism.identity(g.ring, g.target)
-    if g.compose(s) != ident_p:
-        raise DomainError("section contract violated: g after s is not the identity")
+    _require_section(g, s)
     ident_f = SuperMorphism.identity(g.ring, g.source)
     phi = _stack_vertical(g, ident_f - s.compose(g))
     phi_inv = _stack_horizontal(s, ident_f)
@@ -430,42 +443,14 @@ def section_splitting(g: SuperMorphism, s: SuperMorphism):
 
 def lift_through_split_surjection(h: SuperMorphism, g: SuperMorphism, s: SuperMorphism) -> SuperMorphism:
     """A lift ``h~ = s after h`` through the split surjection ``g``; ``g after h~ = h``."""
-    if g.compose(s) != SuperMorphism.identity(g.ring, g.target):
-        raise DomainError("section contract violated: g after s is not the identity")
+    _require_section(g, s)
     lifted = s.compose(h)
     if g.compose(lifted) != h:
         raise DomainError("lift verification failed")
     return lifted
 
 
-# -- direct sums and tensor products ---------------------------------------------
-
-
-def direct_sum_elements(x: ModElement, y: ModElement) -> ModElement:
-    """Block element of type ``x.ftype + y.ftype``; basis order is x-block then y-block."""
-    if x.ring != y.ring:
-        raise RingMismatchError("elements over different rings")
-    return ModElement(x.ring, x.ftype.direct_sum(y.ftype), x.coeffs + y.coeffs)
-
-
-def direct_sum_morphisms(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
-    if phi.ring != psi.ring:
-        raise RingMismatchError("morphisms over different rings")
-    ring = phi.ring
-    source = phi.source.direct_sum(psi.source)
-    target = phi.target.direct_sum(psi.target)
-    rows = []
-    for i in range(target.size):
-        row = []
-        for j in range(source.size):
-            if i < phi.target.size and j < phi.source.size:
-                row.append(phi.matrix[i][j])
-            elif i >= phi.target.size and j >= phi.source.size:
-                row.append(psi.matrix[i - phi.target.size][j - phi.source.size])
-            else:
-                row.append(ring.zero())
-        rows.append(row)
-    return SuperMorphism(ring, source, target, rows)
+# -- tensor products -------------------------------------------------------------
 
 
 def tensor_basis(t1: FreeType, t2: FreeType):

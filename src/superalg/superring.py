@@ -23,6 +23,7 @@ from .scalars import (
     PolyQuotientRing,
     coeff_ring_from_json,
     collect,
+    json_count,
     json_mapping,
     json_names,
 )
@@ -409,25 +410,37 @@ class SuperElement:
 
     @classmethod
     def terms_from_json(cls, ring: SuperRing, data):
+        """The sum of JSON terms ``{"odd": [...], "even": {...}, "coeff": ...}``; ``DomainError`` if malformed."""
         coeff = ring.coeff
+        quotient = isinstance(coeff, PolyQuotientRing)
+        variables = coeff.variables if quotient else ()
+        L = ring.odd_count
+        if not isinstance(data, list):
+            raise DomainError("an element's terms must be a list")
 
         def terms():
             for item in data:
-                bits = mi.bits_from_indices(item.get("odd", ())) if item.get("odd") else 0
-                if isinstance(coeff, PolyQuotientRing):
+                item = json_mapping(item, "a term")
+                odd = item.get("odd") or []
+                if not isinstance(odd, list) or not all(type(i) is int and 0 < i <= L for i in odd):
+                    raise DomainError(f"'odd' must list odd generator indices in 1..{L}, not {odd!r}")
+                even = json_mapping(item.get("even") or {}, "'even'")
+                for name, e in even.items():
+                    if name not in variables:
+                        raise DomainError(f"{name!r} is not an even generator of the ring")
+                    json_count(e, f"the exponent of {name}")
+                if quotient:
                     value = coeff.monomial(
-                        [item.get("even", {}).get(v, 0) for v in coeff.variables],
-                        coeff.base.value_from_json(item["coeff"]),
+                        [even.get(v, 0) for v in variables], coeff.base.value_from_json(item["coeff"])
                     )
                 else:
-                    if item.get("even"):
-                        raise DomainError("ring has no even polynomial generators")
                     value = coeff.value_from_json(item["coeff"])
-                yield bits, value
+                yield mi.bits_from_indices(odd), value
 
         return SuperElement(ring, collect(coeff, terms()))
 
     @classmethod
     def from_json(cls, data):
+        data = json_mapping(data, "an element")
         ring = SuperRing.from_json(data["ring"])
         return cls.terms_from_json(ring, data["terms"])

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from superalg.cli import main
+from superalg.landi import projector_p
+from superalg.scalars import GaussianRationalRing
 from superalg.spheres import make_sphere_projector
 from superalg.supermodule import FreeType, SuperMorphism
 from superalg.superring import grassmann_ring
@@ -152,3 +154,65 @@ def test_certify_malformed_ring_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "certify", str(path))
     assert code == 2
     assert "odd_generators" in err and "Traceback" not in err
+
+
+def _with_term(key, value):
+    def mutate(data):
+        data["matrix"][0][0][0][key] = value
+        return data
+
+    return mutate
+
+
+MALFORMED_MORPHISMS = {
+    "top-level-list": lambda data: [data],
+    "matrix-number": lambda data: {**data, "matrix": 5},
+    "row-number": lambda data: {**data, "matrix": [5, data["matrix"][1]]},
+    "entry-number": lambda data: {**data, "matrix": [[7, data["matrix"][0][1]], data["matrix"][1]]},
+    "term-number": lambda data: {**data, "matrix": [[[7], data["matrix"][0][1]], data["matrix"][1]]},
+    "source-number": lambda data: {**data, "source": 3},
+    "source-rank-list": lambda data: {**data, "source": {"p": [2], "q": 0}},
+    "odd-number": _with_term("odd", 5),
+    "odd-out-of-range": _with_term("odd", [1]),
+    "odd-not-integer": _with_term("odd", ["b1"]),
+    "even-number": _with_term("even", 3),
+    "even-unknown-name": _with_term("even", {"zz": 1}),
+    "even-negative-exponent": _with_term("even", {"x1": -1}),
+    "even-text-exponent": _with_term("even", {"x1": "2"}),
+    "coeff-list": _with_term("coeff", [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MORPHISMS))
+def test_certify_malformed_morphism_exit_two(capsys, tmp_path, case):
+    data = MALFORMED_MORPHISMS[case](make_sphere_projector(1).g.to_json())
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _identity_over(ring):
+    return SuperMorphism.identity(ring, FreeType(1, 0)).to_json()
+
+
+COEFFICIENT_RINGS = {
+    "z6": lambda: _identity_over(z6_ring()),
+    "gaussian": lambda: _identity_over(grassmann_ring(1, GaussianRationalRing())),
+    "radical": lambda: projector_p(1).to_json(),
+}
+
+
+@pytest.mark.parametrize("coeff", [5.5, [1], {"re": [1], "im": "0"}, "x", None, [5], {"rad": 2}])
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_RINGS))
+def test_certify_malformed_coefficient_exit_two(capsys, tmp_path, kind, coeff):
+    data = COEFFICIENT_RINGS[kind]()
+    data["matrix"][0][0][0]["coeff"] = coeff
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

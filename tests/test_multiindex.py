@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 from superalg.errors import CapacityError
 from superalg.multiindex import (
     MAX_GENERATORS,
-    MultiIndex,
     bits_from_indices,
-    enumerate_indices,
     indices_from_bits,
     merge_bits,
     sort_key,
@@ -84,8 +82,6 @@ def test_capacity():
     bits_from_indices((MAX_GENERATORS,))
     with pytest.raises(CapacityError):
         bits_from_indices((MAX_GENERATORS + 1,))
-    with pytest.raises(CapacityError):
-        enumerate_indices(MAX_GENERATORS + 1)
 
 
 def test_single_swap_sign():
@@ -95,20 +91,9 @@ def test_single_swap_sign():
     assert merge_bits(0b01, 0b01) is None
 
 
-def test_text_and_json_forms():
-    m = MultiIndex.from_indices((1, 3))
-    assert m.to_text() == "b[1]b[3]"
-    assert m.to_json() == [1, 3]
-    assert MultiIndex.from_json([1, 3]) == m
-    assert MultiIndex().to_text() == "1"
-    assert MultiIndex().to_json() == []
-    assert m.parity == 0
-    assert MultiIndex.from_indices((2,)).parity == 1
-
-
 def test_enumeration_is_canonical():
-    idx = enumerate_indices(3)
-    assert len(idx) == 8
-    assert [m.indices for m in idx[:4]] == [(), (1,), (2,), (3,)]
-    assert idx[-1].indices == (1, 2, 3)
-    assert all(sort_key(a.bits) < sort_key(b.bits) for a, b in zip(idx, idx[1:]))
+    masks = sorted(range(1 << 3), key=sort_key)
+    assert [indices_from_bits(m) for m in masks] == [
+        (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3),
+    ]
+    assert all(sort_key(a) < sort_key(b) for a, b in zip(masks, masks[1:]))

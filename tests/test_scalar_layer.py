@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superalg.errors import DomainError
-from superalg.landi import make_uosp_ring
+from superalg.landi import make_uosp_ring, projector_p
 from superalg.scalars import (
     GaussianRational,
     GaussianRationalRing,
@@ -174,3 +174,40 @@ def test_ring_identity_is_built_once(monkeypatch):
         x * z
     assert (x * y) * z == x * (y * z)
     assert max(calls.values()) <= 1
+
+
+def test_radical_key_builds_no_fraction(monkeypatch):
+    entries = [entry for row in projector_p(2).matrix for entry in row]
+    built = []
+    original = Fraction.__dict__["__new__"].__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for entry in entries:
+        hash(entry)
+    assert built == []
+    Fraction(1, 2)
+    assert built == [(1, 2)]  # the counter is live
+
+
+def test_equal_radical_values_have_equal_keys():
+    ring = RadicalGaussianRing()
+    two_root_two = ring.mul(ring.from_fraction(2), ring.sqrt_int(2))
+    same = [
+        ring.sqrt_int(8),
+        two_root_two,
+        ring.value_from_json([{"rad": 2, "re": "1", "im": "0"}, {"rad": 2, "re": "1", "im": "0"}]),
+        ring.value_from_json([{"rad": 8, "re": "2/2", "im": "0"}]),
+    ]
+    assert len({ring.key(v) for v in same}) == 1
+    assert ring.key(ring.sqrt_int(2)) != ring.key(two_root_two)
+    assert ring.key(ring.mul(ring.sqrt_int(2), ring.from_gaussian(GaussianRational(0, 1)))) != ring.key(
+        ring.sqrt_int(2)
+    )
+    uosp = make_uosp_ring()
+    x = uosp.from_coeff(uosp.coeff.from_scalar(ring.sqrt_int(8)))
+    y = uosp.from_coeff(uosp.coeff.from_scalar(two_root_two))
+    assert x == y and hash(x) == hash(y)
