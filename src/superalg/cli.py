@@ -19,7 +19,7 @@ import time
 from .errors import ParseError, SuperAlgError
 from .expressions import parse_element
 from .reports import SuiteReport, residual_witness
-from .suites import SUITES
+from .suites import SUITES, run_suite
 from .supermodule import SuperMorphism, split_idempotent
 from .superring import SuperRing
 
@@ -46,12 +46,9 @@ def _load_ring(path: str) -> SuperRing:
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    # Pass only the flags the suite accepts, mapped to its parameter names.
-    accepted = suite.__code__.co_varnames[: suite.__code__.co_argcount]
-    flags = {"L": args.L, "n": args.n, "max_n": args.max_n, "seed": args.seed, "count": args.count}
-    params = {name: value for name, value in flags.items() if name in accepted and value is not None}
-    report = suite(**params)
+    report = run_suite(
+        args.suite, L=args.L, n=args.n, max_n=args.max_n, seed=args.seed, count=args.count
+    )
     return _emit(report, args.format)
 
 

@@ -613,13 +613,23 @@ class PolyQuotientRing(CoeffRing):
         ]
 
     def value_from_json(self, data):
-        d = {}
-        for item in data:
-            exps = [0] * len(self.variables)
-            for v, e in item["exps"].items():
-                exps[self._var_pos[v]] = int(e)
-            d[tuple(exps)] = self.base.value_from_json(item["c"])
-        return self.normal_form_dict(d)
+        """Terms ``{"exps": {var: exponent}, "c": scalar}``; repeated exponent maps are summed."""
+        if not isinstance(data, list):
+            raise DomainError("a polynomial value must be a list of terms")
+
+        def terms():
+            for item in data:
+                item = json_mapping(item, "a polynomial term")
+                if "c" not in item:
+                    raise DomainError("a polynomial term needs a coefficient 'c'")
+                exps = [0] * len(self.variables)
+                for v, e in json_mapping(item.get("exps"), "'exps'").items():
+                    if v not in self._var_pos:
+                        raise DomainError(f"{v!r} is not a variable of the ring")
+                    exps[self._var_pos[v]] = json_count(e, f"the exponent of {v}")
+                yield tuple(exps), self.base.value_from_json(item["c"])
+
+        return self.normal_form_dict(collect(self.base, terms()))
 
     def to_json(self):
         rel = None

@@ -161,17 +161,17 @@ def continue_analytically(jet: Jet, xs) -> SuperElement:
         elif not ring.coeff.eq(constant, jet.base[i]):
             raise DomainError("body of the argument does not match the jet base point")
         souls.append(SuperElement(ring, {b: c for b, c in x.terms.items() if b}))
-    result = ring.zero()
-    for degrees, value in jet.table:
-        fact = 1
-        for d in degrees:
-            fact *= math.factorial(d)
-        term = ring.from_coeff(value).scale(Fraction(1, fact))
-        for soul, d in zip(souls, degrees):
-            if d:
-                term = term * soul ** d
-        result = result + term
-    return result
+
+    def taylor_terms():
+        for degrees, value in jet.table:
+            fact = math.prod(math.factorial(d) for d in degrees)
+            term = ring.from_coeff(value).scale(Fraction(1, fact))
+            for soul, d in zip(souls, degrees):
+                if d:
+                    term = term * soul ** d
+            yield term
+
+    return ring.sum(taylor_terms())
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,15 @@ def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
     if len(point.odds) != fn.odd_arity:
         raise DomainError("odd arity mismatch")
     ring = point.evens[0].ring if point.evens else point.odds[0].ring
-    result = ring.zero()
-    for bits, jet in fn.jets:
-        term = continue_analytically(jet, point.evens)
-        for i in mi.indices_from_bits(bits):
-            term = term * point.odds[i - 1]
-        result = result + term
-    return result
+
+    def terms():
+        for bits, jet in fn.jets:
+            term = continue_analytically(jet, point.evens)
+            for i in mi.indices_from_bits(bits):
+                term = term * point.odds[i - 1]
+            yield term
+
+    return ring.sum(terms())
 
 
 # -- super sine and cosine -------------------------------------------------------

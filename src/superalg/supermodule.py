@@ -95,33 +95,27 @@ class ModElement:
 
     def left_mul(self, a: SuperElement):
         """The left action ``a * x`` via ``a x = (-1)**(|x||a|) x a``."""
-        if a.parity() is None:
+        a_parity = a.parity()
+        if a_parity is None:
             raise ParityError("left action requires a homogeneous scalar")
-        out = []
-        for basis_parity, c in zip(self.ftype.parities, self.coeffs):
-            acc = self.ring.zero()
+
+        def signed_parts(basis_parity, c):
             for cpar in (0, 1):
-                part = c.homogeneous_part(cpar)
-                term = part * a
-                if a.parity() == 1 and (basis_parity + cpar) % 2 == 1:
-                    term = -term
-                acc = acc + term
-            out.append(acc)
+                term = c.homogeneous_part(cpar) * a
+                yield -term if a_parity == 1 and (basis_parity + cpar) % 2 == 1 else term
+
+        out = [
+            self.ring.sum(signed_parts(basis_parity, c))
+            for basis_parity, c in zip(self.ftype.parities, self.coeffs)
+        ]
         return ModElement(self.ring, self.ftype, out)
 
     def parity(self):
         """0/1 for homogeneous elements (Notation-style (x, y) form), else None."""
-        parities = set()
-        for basis_parity, c in zip(self.ftype.parities, self.coeffs):
-            if c.is_zero():
-                continue
-            cp = c.parity()
-            if cp is None:
-                return None
-            parities.add((basis_parity + cp) % 2)
-        if not parities:
-            return 0
-        return parities.pop() if len(parities) == 1 else None
+        for parity in (0, 1):
+            if self.homogeneous_part(parity) == self:
+                return parity
+        return None
 
     def homogeneous_part(self, parity: int):
         out = []
@@ -170,11 +164,7 @@ class SuperMorphism:
 
     @classmethod
     def identity(cls, ring: SuperRing, ftype: FreeType):
-        n = ftype.size
-        return cls(
-            ring, ftype, ftype,
-            [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)],
-        )
+        return cls.scalar(ring, ftype, ring.one())
 
     @classmethod
     def zero(cls, ring: SuperRing, source: FreeType, target: FreeType):
@@ -193,12 +183,7 @@ class SuperMorphism:
             raise ShapeError("element type does not match morphism source")
         if x.ring != self.ring:
             raise RingMismatchError("element over a different ring")
-        out = []
-        for row in self.matrix:
-            acc = self.ring.zero()
-            for entry, c in zip(row, x.coeffs):
-                acc = acc + entry * c
-            out.append(acc)
+        out = [self.ring.sum(entry * c for entry, c in zip(row, x.coeffs)) for row in self.matrix]
         return ModElement(self.ring, self.target, out)
 
     def compose(self, other: "SuperMorphism") -> "SuperMorphism":
@@ -207,15 +192,11 @@ class SuperMorphism:
             raise ShapeError("composition shape mismatch")
         if other.ring != self.ring:
             raise RingMismatchError("morphisms over different rings")
-        rows = []
-        for i in range(self.target.size):
-            row = []
-            for k in range(other.source.size):
-                acc = self.ring.zero()
-                for j in range(self.source.size):
-                    acc = acc + self.matrix[i][j] * other.matrix[j][k]
-                row.append(acc)
-            rows.append(row)
+        columns = [[row[k] for row in other.matrix] for k in range(other.source.size)]
+        rows = [
+            [self.ring.sum(a * b for a, b in zip(row, column)) for column in columns]
+            for row in self.matrix
+        ]
         return SuperMorphism(self.ring, other.source, self.target, rows)
 
     def __add__(self, other):
@@ -246,40 +227,26 @@ class SuperMorphism:
     def __hash__(self):
         return hash((self.source, self.target))
 
+    def homogeneous_part(self, degree: int):
+        """Entry ``[i][j]`` keeps its component of parity ``degree + |b_i| + |b_j|``."""
+        src = self.source.parities
+        tgt = self.target.parities
+        rows = [
+            [entry.homogeneous_part((degree + tgt[i] + src[j]) % 2) for j, entry in enumerate(row)]
+            for i, row in enumerate(self.matrix)
+        ]
+        return SuperMorphism(self.ring, self.source, self.target, rows)
+
     def degree(self):
         """0 or 1 if homogeneous per the matrix parity contract, else None."""
-        src = self.source.parities
-        tgt = self.target.parities
-        degrees = set()
-        for i, row in enumerate(self.matrix):
-            for j, entry in enumerate(row):
-                if entry.is_zero():
-                    continue
-                par = entry.parity()
-                if par is None:
-                    return None
-                degrees.add((par + tgt[i] + src[j]) % 2)
-        if not degrees:
-            return 0
-        return degrees.pop() if len(degrees) == 1 else None
+        for degree in (0, 1):
+            if self.homogeneous_part(degree) == self:
+                return degree
+        return None
 
     def grade_split(self):
-        """Even/odd parts: keep the parity-matching (resp. mismatching) entry component."""
-        src = self.source.parities
-        tgt = self.target.parities
-        even_rows, odd_rows = [], []
-        for i, row in enumerate(self.matrix):
-            even_row, odd_row = [], []
-            for j, entry in enumerate(row):
-                match = (tgt[i] + src[j]) % 2
-                even_row.append(entry.homogeneous_part(match))
-                odd_row.append(entry.homogeneous_part((match + 1) % 2))
-            even_rows.append(even_row)
-            odd_rows.append(odd_row)
-        return (
-            SuperMorphism(self.ring, self.source, self.target, even_rows),
-            SuperMorphism(self.ring, self.source, self.target, odd_rows),
-        )
+        """The even and the odd part."""
+        return self.homogeneous_part(0), self.homogeneous_part(1)
 
     def is_idempotent(self) -> bool:
         return not self.idempotence_residual()
@@ -470,17 +437,13 @@ def tensor_elements(x: ModElement, y: ModElement) -> ModElement:
     ftype = x.ftype.tensor(y.ftype)
     pairs = tensor_basis(x.ftype, y.ftype)
     p2 = y.ftype.parities
-    coeffs = []
-    for i, j in pairs:
-        acc = ring.zero()
+
+    def signed_parts(i, j):
         for cpar in (0, 1):
-            part = x.coeffs[i].homogeneous_part(cpar)
-            term = part * y.coeffs[j]
-            if cpar == 1 and p2[j] == 1:
-                term = -term
-            acc = acc + term
-        coeffs.append(acc)
-    return ModElement(ring, ftype, coeffs)
+            term = x.coeffs[i].homogeneous_part(cpar) * y.coeffs[j]
+            yield -term if cpar == 1 and p2[j] == 1 else term
+
+    return ModElement(ring, ftype, [ring.sum(signed_parts(i, j)) for i, j in pairs])
 
 
 def tensor_morphisms(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
@@ -495,24 +458,20 @@ def tensor_morphisms(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
     src1 = phi.source.parities
     tgt2 = psi.target.parities
     psi_parts = psi.grade_split()
-    rows = [[ring.zero() for _ in src_pairs] for _ in tgt_pairs]
-    for col, (i, j) in enumerate(src_pairs):
-        for row, (k, l) in enumerate(tgt_pairs):
-            acc = ring.zero()
-            for d in (0, 1):
-                n_entry = psi_parts[d].matrix[l][j]
-                if n_entry.is_zero():
+
+    def signed_terms(i, j, k, l):
+        for d in (0, 1):
+            n_entry = psi_parts[d].matrix[l][j]
+            if n_entry.is_zero():
+                continue
+            for mpar in (0, 1):
+                m_entry = phi.matrix[k][i].homogeneous_part(mpar)
+                if m_entry.is_zero():
                     continue
-                for mpar in (0, 1):
-                    m_entry = phi.matrix[k][i].homogeneous_part(mpar)
-                    if m_entry.is_zero():
-                        continue
-                    term = m_entry * n_entry
-                    sign = (d * src1[i] + mpar * tgt2[l]) % 2
-                    if sign:
-                        term = -term
-                    acc = acc + term
-            rows[row][col] = acc
+                term = m_entry * n_entry
+                yield -term if (d * src1[i] + mpar * tgt2[l]) % 2 else term
+
+    rows = [[ring.sum(signed_terms(i, j, k, l)) for i, j in src_pairs] for k, l in tgt_pairs]
     return SuperMorphism(ring, source, target, rows)
 
 
@@ -520,12 +479,12 @@ def tensor_morphisms(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
 
 
 def hom_basis_units(ftype: FreeType):
-    """Matrix units ordered as a free type: even-parity units first, then odd."""
-    par = ftype.parities
-    units = [(i, j) for i in range(ftype.size) for j in range(ftype.size)]
-    even = [ij for ij in units if (par[ij[0]] + par[ij[1]]) % 2 == 0]
-    odd = [ij for ij in units if (par[ij[0]] + par[ij[1]]) % 2 == 1]
-    return even + odd
+    """Matrix units ordered as a free type: even-parity units first, then odd.
+
+    The unit ``(i, j)`` has parity ``|b_i| + |b_j|``, so this is the basis of
+    ``F (x) F``.
+    """
+    return tensor_basis(ftype, ftype)
 
 
 def end_projector(e: SuperMorphism):
@@ -537,14 +496,8 @@ def end_projector(e: SuperMorphism):
     """
     if not e.is_idempotent():
         raise DomainError("morphism is not idempotent")
-    ftype = e.source
-    units = hom_basis_units(ftype)
-    hom_type = FreeType(ftype.p * ftype.p + ftype.q * ftype.q, 2 * ftype.p * ftype.q)
-    unit_pos = {u: n for n, u in enumerate(units)}
-    ring = e.ring
-    rows = [[ring.zero() for _ in units] for _ in units]
-    for col, (k, l) in enumerate(units):
-        # e after unit(k, l) after e has matrix entries M[i][k] * M[l][j].
-        for (i, j), row in unit_pos.items():
-            rows[row][col] = e.matrix[i][k] * e.matrix[l][j]
-    return SuperMorphism(ring, hom_type, hom_type, rows), units
+    units = hom_basis_units(e.source)
+    hom_type = e.source.tensor(e.source)
+    # e after unit(k, l) after e has matrix entries M[i][k] * M[l][j].
+    rows = [[e.matrix[i][k] * e.matrix[l][j] for k, l in units] for i, j in units]
+    return SuperMorphism(e.ring, hom_type, hom_type, rows), units

@@ -8,6 +8,12 @@ odd-generator bitmasks to coefficient values.
 
 Even polynomial generators (when the coefficient ring is a quotient ring)
 always have grade 0; the parity of a term is the parity of its odd monomial.
+
+Each element-layer rule is written once.  Sums go through
+:func:`~superalg.scalars.collect`: :meth:`SuperRing.sum` for any number of
+elements, and ``+`` as its two-element case.  The sign of a product of odd
+monomials is :func:`~superalg.multiindex.merge_bits`, for ``*`` and for the
+involution alike.  :meth:`SuperElement.scale` multiplies coefficients.
 """
 
 from __future__ import annotations
@@ -107,6 +113,21 @@ class SuperRing:
 
     def zero(self) -> "SuperElement":
         return SuperElement(self, {})
+
+    def sum(self, elements) -> "SuperElement":
+        """The sum of ``elements``, in one ``collect`` pass over all their terms.
+
+        An empty input gives zero; an element of another ring raises
+        ``RingMismatchError``.
+        """
+
+        def terms():
+            for x in elements:
+                if x.ring != self:
+                    raise RingMismatchError("operands belong to different rings")
+                yield from x.terms.items()
+
+        return SuperElement(self, collect(self.coeff, terms()))
 
     def one(self) -> "SuperElement":
         return self.from_fraction(1)
@@ -253,7 +274,11 @@ class SuperElement:
         return NotImplemented
 
     def scale(self, fr: Fraction):
-        return self * self.ring.from_fraction(fr)
+        """``fr * self``: each coefficient times ``fr``; zero products are dropped."""
+        coeff = self.ring.coeff
+        c = coeff.from_fraction(Fraction(fr))
+        products = ((b, coeff.mul(v, c)) for b, v in self.terms.items())
+        return SuperElement(self.ring, collect(coeff, products))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -334,36 +359,29 @@ class SuperElement:
         if inv is None:
             raise DomainError("ring has no involution table")
         odd_map = inv.odd_dict()
-        coeff = self.ring.coeff
-        names = self.ring.odd_names
         pos = self.ring._odd_pos
+        # Generator i is sent to gen_sign times the generator with bit gen_bit.
+        gen_images = []
+        for name in self.ring.odd_names:
+            partner, sign = odd_map.get(name, (name, 1))
+            gen_images.append((1 << pos[partner], sign))
+        coeff = self.ring.coeff
 
         def images():
+            # The product rule gives (x1...xk)** = (-1)**(k(k-1)/2) xk**...x1**,
+            # and reversing the k odd images costs the same sign, so
+            # (x1...xk)** = x1**...xk**: multiply the images in index order.
             for bits, c in self.terms.items():
-                c = self.ring.coeff_involute(c)
-                k = bits.bit_count()
-                sign = -1 if (k * (k - 1) // 2) & 1 else 1
-                # Reverse the factors, map each through the table, re-sort.
-                mapped = []
-                for i in reversed(mi.indices_from_bits(bits)):
-                    name = names[i - 1]
-                    partner, s = odd_map.get(name, (name, 1))
-                    sign *= s
-                    mapped.append(pos[partner])
-                # Insertion-count the inversions of the mapped position sequence.
-                inversions = 0
-                for a in range(len(mapped)):
-                    for b in range(a + 1, len(mapped)):
-                        if mapped[a] > mapped[b]:
-                            inversions += 1
-                if inversions & 1:
-                    sign = -sign
-                new_bits = 0
-                for p in mapped:
-                    if new_bits & (1 << p):
+                image, sign = 0, 1
+                for i in mi.indices_from_bits(bits):
+                    gen_bit, gen_sign = gen_images[i - 1]
+                    merged = mi.merge_bits(image, gen_bit)
+                    if merged is None:
                         raise DomainError("involution table is not a bijection on odd generators")
-                    new_bits |= 1 << p
-                yield new_bits, (c if sign > 0 else coeff.neg(c))
+                    image, merge_sign = merged
+                    sign *= gen_sign * merge_sign
+                c = self.ring.coeff_involute(c)
+                yield image, (c if sign > 0 else coeff.neg(c))
 
         return SuperElement(self.ring, collect(coeff, images()))
 

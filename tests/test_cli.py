@@ -146,6 +146,45 @@ def test_eval_malformed_ring_descriptor_exit_two(capsys, tmp_path, descriptor):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _quotient_descriptor(rhs):
+    coeffs = {"kind": "poly_quotient", "vars": ["x0", "x1"], "base": {"kind": "rational"}}
+    return {"coeffs": {**coeffs, "relation": {"lead": "x0", "rhs": rhs}}}
+
+
+@pytest.mark.parametrize(
+    "rhs, message",
+    [
+        (5, "list of terms"),
+        ([5], "JSON object"),
+        ([{"exps": 5, "c": "1"}], "'exps'"),
+        ([{"c": "1"}], "'exps'"),
+        ([{"exps": {"x1": -2}, "c": "1"}], "exponent of x1"),
+        ([{"exps": {"x1": 2.5}, "c": "1"}], "exponent of x1"),
+        ([{"exps": {"zz": 1}, "c": "1"}], "'zz' is not a variable"),
+        ([{"exps": {"x1": 2}}], "coefficient 'c'"),
+    ],
+)
+def test_eval_malformed_relation_rhs_exit_two(capsys, tmp_path, rhs, message):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(_quotient_descriptor(rhs)))
+    code, out, err = run(capsys, "eval", "x0^2", "--ring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_eval_relation_rhs_terms_match_text_form(capsys, tmp_path):
+    term = {"exps": {"x1": 2}, "c": "1"}
+    outputs = []
+    for rhs in ([term, term], "2*x1^2"):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(_quotient_descriptor(rhs)))
+        code, out, _ = run(capsys, "eval", "x0^2", "--ring", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == "2*x1^2\n"
+
+
 def test_certify_malformed_ring_exit_two(capsys, tmp_path):
     data = make_sphere_projector(1).g.to_json()
     data["ring"]["odd_generators"] = 5

@@ -211,3 +211,13 @@ def test_equal_radical_values_have_equal_keys():
     x = uosp.from_coeff(uosp.coeff.from_scalar(ring.sqrt_int(8)))
     y = uosp.from_coeff(uosp.coeff.from_scalar(two_root_two))
     assert x == y and hash(x) == hash(y)
+
+
+def test_polynomial_json_sums_repeated_exponent_maps():
+    ring = PolyQuotientRing(RadicalGaussianRing(), ("x0", "x1"))
+    x1_sq = ring.mul(ring.var("x1"), ring.var("x1"))
+    term = {"exps": {"x1": 2}, "c": [{"rad": 2, "re": "1", "im": "0"}]}
+    twice = ring.value_from_json([term, term])
+    assert twice == ring.mul(ring.from_scalar(ring.base.sqrt_int(8)), x1_sq)
+    negated = {"exps": {"x1": 2}, "c": [{"rad": 2, "re": "-1", "im": "0"}]}
+    assert ring.value_from_json([term, {"exps": {}, "c": []}, negated]) == ring.zero()

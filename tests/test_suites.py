@@ -42,3 +42,15 @@ def test_landi_suite_reports_residual():
     rep = run_suite("landi", n=1)
     idem = next(c for c in rep.clauses if c.name == "idempotent")
     assert "residual p^2 - p: 0" in idem.witness
+
+
+def test_run_suite_times_the_suite():
+    assert run_suite("z6").wall_time > 0
+    assert SUITES["z6"]().wall_time == 0.0  # suites no longer time themselves
+
+
+def test_run_suite_passes_only_the_parameters_a_suite_takes():
+    a = run_suite("z6", L=3, seed=None).to_json(include_timing=False)
+    b = run_suite("nilpotency", L=4, count=20, n=None, max_n=7).to_json(include_timing=False)
+    assert a == run_suite("z6").to_json(include_timing=False)
+    assert b["params"] == {"L": 4, "count": 20}
