@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalars import GaussianRationalRing, PolyQuotientRing, RadicalGaussianRing
+from .scalars import PolyQuotientRing
 from .superring import SuperElement, SuperRing
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/]))")
@@ -37,21 +37,6 @@ def _tokenize(text):
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
-
-
-def _imaginary_unit(ring: SuperRing):
-    coeff = ring.coeff
-    if isinstance(coeff, GaussianRationalRing):
-        return ring.from_coeff(coeff.imaginary_unit())
-    if isinstance(coeff, RadicalGaussianRing):
-        return ring.from_coeff(coeff.from_gaussian(coeff._base.imaginary_unit()))
-    if isinstance(coeff, PolyQuotientRing):
-        base = coeff.base
-        if isinstance(base, GaussianRationalRing):
-            return ring.from_coeff(coeff.from_scalar(base.imaginary_unit()))
-        if isinstance(base, RadicalGaussianRing):
-            return ring.from_coeff(coeff.from_scalar(base.from_gaussian(base._base.imaginary_unit())))
-    return None
 
 
 class _Parser:
@@ -135,9 +120,9 @@ class _Parser:
             return self.ring.from_fraction(value)
         if kind == "name":
             if value == "i":
-                unit = _imaginary_unit(self.ring)
+                unit = self.ring.coeff.imaginary_unit()
                 if unit is not None:
-                    return unit
+                    return self.ring.from_coeff(unit)
             try:
                 return self.ring.generator(value)
             except DomainError:

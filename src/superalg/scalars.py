@@ -6,6 +6,12 @@ formal square roots of positive integers.  On top of any scalar kind sits
 ``PolyQuotientRing``: a commutative polynomial ring with at most one
 quadratic relation, rewritten to a canonical normal form.
 
+Every coefficient ring has the interface of :class:`CoeffRing`.  A scalar
+ring reads as a polynomial ring in no variables over itself: no
+``variables`` or ``relation``, ``base`` is the ring, and ``monomials`` gives
+at most one term, with the empty exponent tuple.  ``imaginary_unit`` is
+``None`` where the ring has no ``i``.
+
 Ring values are plain data (``Fraction``, ``GaussianRational``, ``int``,
 radical dicts, ``PolyValue``); all operations go through the ring object,
 which owns the normal form.  A ``GaussianRational`` is a reduced integer
@@ -171,9 +177,15 @@ def squarefree_split(n: int):
 
 
 class CoeffRing:
-    """Interface shared by all coefficient rings."""
+    """Interface shared by all coefficient rings; the defaults describe a scalar ring."""
 
     kind = None
+    variables = ()
+    relation = None
+
+    @property
+    def base(self):
+        return self
 
     def zero(self):
         raise NotImplementedError
@@ -186,6 +198,22 @@ class CoeffRing:
 
     def from_fraction(self, fr):
         raise NotImplementedError
+
+    def imaginary_unit(self):
+        """``i`` if the ring has it, else ``None``."""
+        return None
+
+    def var(self, name):
+        """The variable ``name``; ``DomainError`` if the ring has no such variable."""
+        raise DomainError(f"{name!r} is not a variable of the ring")
+
+    def monomials(self, u):
+        """``u`` as ``(exponents, base scalar)`` pairs."""
+        return () if self.is_zero(u) else (((), u),)
+
+    def monomial(self, exps, c):
+        """The value ``c`` times the monomial with exponents ``exps``."""
+        return c
 
     def add(self, u, v):
         raise NotImplementedError
@@ -300,7 +328,7 @@ class GaussianRationalRing(CoeffRing):
         return {"re": str(u.re), "im": str(u.im)}
 
     def value_from_json(self, data):
-        data = json_mapping(data, "a Gaussian value")
+        data = json_mapping(data, "a Gaussian value", "re", "im")
         return GaussianRational(_parse_fraction(data["re"]), _parse_fraction(data["im"]))
 
     def to_json(self):
@@ -362,17 +390,19 @@ class RadicalGaussianRing(CoeffRing):
     kind = "gaussian_radical"
 
     def __init__(self):
-        self._base = GaussianRationalRing()
+        self._gaussians = GaussianRationalRing()
 
     def zero(self):
         return {}
 
     def from_fraction(self, fr):
-        g = GaussianRational(fr, 0)
-        return {1: g} if g else {}
+        return self.from_gaussian(GaussianRational(fr, 0))
 
     def from_gaussian(self, g):
         return {1: g} if g else {}
+
+    def imaginary_unit(self):
+        return self.from_gaussian(GaussianRational(0, 1))
 
     def sqrt_int(self, n: int):
         """The value ``sqrt(n)`` for a positive integer ``n``."""
@@ -380,7 +410,7 @@ class RadicalGaussianRing(CoeffRing):
         return {s: GaussianRational(m, 0)}
 
     def add(self, u, v):
-        return collect(self._base, chain(u.items(), v.items()))
+        return collect(self._gaussians, chain(u.items(), v.items()))
 
     def neg(self, u):
         return {s: -c for s, c in u.items()}
@@ -393,7 +423,7 @@ class RadicalGaussianRing(CoeffRing):
                     cd = c * d
                     yield (s // g) * (t // g), (cd if g == 1 else cd.scale(g))
 
-        return collect(self._base, products())
+        return collect(self._gaussians, products())
 
     def conj(self, u):
         return {s: c.conj() for s, c in u.items()}
@@ -423,14 +453,14 @@ class RadicalGaussianRing(CoeffRing):
 
         def terms():
             for item in data:
-                item = json_mapping(item, "a radical term")
+                item = json_mapping(item, "a radical term", "rad", "re", "im")
                 if type(item["rad"]) not in (int, str):
                     raise DomainError(f"radicand {item['rad']!r} is not an integer")
                 m, s = squarefree_split(int(item["rad"]))
                 g = GaussianRational(_parse_fraction(item["re"]), _parse_fraction(item["im"]))
                 yield s, g.scale(m)
 
-        return collect(self._base, terms())
+        return collect(self._gaussians, terms())
 
     def to_json(self):
         return {"kind": "gaussian_radical"}
@@ -479,6 +509,7 @@ class PolyQuotientRing(CoeffRing):
     """Commutative polynomials over a base scalar ring, modulo one relation."""
 
     kind = "poly_quotient"
+    base = None  # set per instance; shadows the scalar-ring ``CoeffRing.base``
 
     def __init__(self, base: CoeffRing, variables, relation: Relation = None):
         self.base = base
@@ -500,24 +531,27 @@ class PolyQuotientRing(CoeffRing):
         return PolyValue(())
 
     def from_fraction(self, fr):
-        c = self.base.from_fraction(fr)
-        if self.base.is_zero(c):
-            return self.zero()
-        return PolyValue(((tuple([0] * len(self.variables)), c),))
+        return self.from_scalar(self.base.from_fraction(fr))
 
     def from_scalar(self, c):
         if self.base.is_zero(c):
             return self.zero()
         return PolyValue(((tuple([0] * len(self.variables)), c),))
 
+    def imaginary_unit(self):
+        i = self.base.imaginary_unit()
+        return None if i is None else self.from_scalar(i)
+
     def var(self, name):
-        exps = [0] * len(self.variables)
-        exps[self._var_pos[name]] = 1
-        return PolyValue(((tuple(exps), self.base.one()),))
+        if name not in self._var_pos:
+            return super().var(name)
+        return PolyValue(((tuple(int(v == name) for v in self.variables), self.base.one()),))
+
+    def monomials(self, u: PolyValue):
+        return u.coeffs
 
     def monomial(self, exps, c):
-        d = {tuple(exps): c}
-        return self.normal_form_dict(d)
+        return self.normal_form_dict({tuple(exps): c})
 
     # -- normal form -------------------------------------------------------
 
@@ -646,10 +680,13 @@ class PolyQuotientRing(CoeffRing):
         }
 
 
-def json_mapping(data, what: str) -> dict:
-    """``data`` if it is a JSON object; ``DomainError`` names ``what`` otherwise."""
+def json_mapping(data, what: str, *required: str) -> dict:
+    """``data`` if it is a JSON object with every ``required`` key; ``DomainError`` names the fault."""
     if not isinstance(data, dict):
         raise DomainError(f"{what} must be a JSON object, not {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise DomainError(f"{what} has no {key!r}")
     return data
 
 
@@ -685,7 +722,7 @@ def coeff_ring_from_json(data) -> CoeffRing:
         ring = PolyQuotientRing(base, variables)
         rel = data.get("relation")
         if rel is not None:
-            lead = json_mapping(rel, "'relation'").get("lead")
+            lead = json_mapping(rel, "'relation'", "rhs").get("lead")
             rhs_data = rel["rhs"]
             if isinstance(rhs_data, str):
                 rhs = _parse_poly_text(ring, rhs_data)

@@ -26,7 +26,6 @@ from . import multiindex as mi
 from .errors import CapacityError, DomainError, RingMismatchError
 from .scalars import (
     CoeffRing,
-    PolyQuotientRing,
     coeff_ring_from_json,
     collect,
     json_count,
@@ -60,12 +59,6 @@ class Involution:
             odd.append((u, v, 1))
             odd.append((v, u, -1))
         return cls(tuple(even), tuple(odd))
-
-    def even_dict(self):
-        return dict(self.even_map)
-
-    def odd_dict(self):
-        return {u: (v, s) for u, v, s in self.odd_map}
 
     def to_json(self):
         seen = set()
@@ -101,10 +94,40 @@ class SuperRing:
         self.odd_names = odd_names
         self._odd_pos = {name: i for i, name in enumerate(odd_names)}
         self.involution = involution
+        self._odd_images, self._even_images = None, {}
         if involution is not None:
-            for u, v, _ in involution.odd_map:
-                if u not in self._odd_pos or v not in self._odd_pos:
-                    raise DomainError(f"involution pairs unknown odd generator {u!r}/{v!r}")
+            self._compile_involution(involution)
+
+    def _compile_involution(self, involution: Involution):
+        """Build ``_odd_images``, a ``(bit, sign)`` per odd generator, and ``_even_images``.
+
+        ``DomainError`` if the table names a generator the ring lacks, pairs one
+        twice (both directions are listed, so it is the source of two entries),
+        or does not send the relation to itself.
+        """
+        for kind, names, table in (
+            ("odd", self._odd_pos, involution.odd_map),
+            ("even", self.coeff.variables, involution.even_map),
+        ):
+            sources = [entry[0] for entry in table]
+            for name in sources:
+                if name not in names:
+                    raise DomainError(f"involution pairs unknown {kind} generator {name!r}")
+                if sources.count(name) > 1:
+                    raise DomainError(f"involution table is not a bijection: {name!r} is paired twice")
+        images = [(1 << i, 1) for i in range(self.odd_count)]
+        for u, v, sign in involution.odd_map:
+            images[self._odd_pos[u]] = (1 << self._odd_pos[v], sign)
+        self._odd_images = tuple(images)
+        self._even_images = dict(involution.even_map)
+        rel = self.coeff.relation
+        if rel is not None:
+            # The involution is well defined on the quotient when the image of
+            # the lead monomial reduces to the image of the right-hand side.
+            heads = rel.heads if rel.form == "product" else rel.heads * 2
+            u, v = (self._even_images.get(h, h) for h in heads)
+            if self.coeff.mul(self.coeff.var(u), self.coeff.var(v)) != self.coeff_involute(rel.rhs):
+                raise DomainError("the involution does not preserve the ring's relation")
 
     # -- construction ------------------------------------------------------
 
@@ -150,20 +173,17 @@ class SuperRing:
         return self.element({1 << (index - 1): self.coeff.one()})
 
     def even_gen(self, name) -> "SuperElement":
-        if not isinstance(self.coeff, PolyQuotientRing):
-            raise DomainError("ring has no even polynomial generators")
         return self.element({0: self.coeff.var(name)})
 
     def generator(self, name) -> "SuperElement":
         if name in self._odd_pos:
             return self.odd_gen(name)
-        if isinstance(self.coeff, PolyQuotientRing) and name in self.coeff.variables:
+        if name in self.coeff.variables:
             return self.even_gen(name)
         raise DomainError(f"unknown generator {name!r}")
 
     def generator_names(self):
-        evens = self.coeff.variables if isinstance(self.coeff, PolyQuotientRing) else ()
-        return tuple(evens) + self.odd_names
+        return self.coeff.variables + self.odd_names
 
     @property
     def odd_count(self):
@@ -173,10 +193,8 @@ class SuperRing:
 
     def coeff_involute(self, value):
         value = self.coeff.conj(value)
-        if self.involution is not None and isinstance(self.coeff, PolyQuotientRing):
-            even = self.involution.even_dict()
-            if even:
-                value = self.coeff.substitute_vars(value, even)
+        if self._even_images:
+            value = self.coeff.substitute_vars(value, self._even_images)
         return value
 
     # -- serialization ------------------------------------------------------
@@ -332,7 +350,7 @@ class SuperElement:
     # -- body and soul -----------------------------------------------------------
 
     def _require_pure_grassmann(self):
-        if isinstance(self.ring.coeff, PolyQuotientRing) and self.ring.coeff.variables:
+        if self.ring.coeff.variables:
             raise DomainError("body/soul are defined only for pure Grassmann rings")
 
     def body(self):
@@ -355,16 +373,9 @@ class SuperElement:
         Convention: ``(xy)** = (-1)**(|x||y|) y** x**`` and
         ``(x**)** = (-1)**|x| x``.
         """
-        inv = self.ring.involution
-        if inv is None:
+        gen_images = self.ring._odd_images
+        if gen_images is None:
             raise DomainError("ring has no involution table")
-        odd_map = inv.odd_dict()
-        pos = self.ring._odd_pos
-        # Generator i is sent to gen_sign times the generator with bit gen_bit.
-        gen_images = []
-        for name in self.ring.odd_names:
-            partner, sign = odd_map.get(name, (name, 1))
-            gen_images.append((1 << pos[partner], sign))
         coeff = self.ring.coeff
 
         def images():
@@ -375,10 +386,7 @@ class SuperElement:
                 image, sign = 0, 1
                 for i in mi.indices_from_bits(bits):
                     gen_bit, gen_sign = gen_images[i - 1]
-                    merged = mi.merge_bits(image, gen_bit)
-                    if merged is None:
-                        raise DomainError("involution table is not a bijection on odd generators")
-                    image, merge_sign = merged
+                    image, merge_sign = mi.merge_bits(image, gen_bit)
                     sign *= gen_sign * merge_sign
                 c = self.ring.coeff_involute(c)
                 yield image, (c if sign > 0 else coeff.neg(c))
@@ -415,12 +423,9 @@ class SuperElement:
         for bits in sorted(self.terms, key=mi.sort_key):
             value = self.terms[bits]
             odd = list(mi.indices_from_bits(bits))
-            if isinstance(coeff, PolyQuotientRing):
-                for exps, c in value.coeffs:
-                    even = {v: e for v, e in zip(coeff.variables, exps) if e}
-                    out.append({"odd": odd, "even": even, "coeff": coeff.base.value_to_json(c)})
-            else:
-                out.append({"odd": odd, "even": {}, "coeff": coeff.value_to_json(value)})
+            for exps, c in coeff.monomials(value):
+                even = {v: e for v, e in zip(coeff.variables, exps) if e}
+                out.append({"odd": odd, "even": even, "coeff": coeff.base.value_to_json(c)})
         return out
 
     def to_json(self):
@@ -430,15 +435,14 @@ class SuperElement:
     def terms_from_json(cls, ring: SuperRing, data):
         """The sum of JSON terms ``{"odd": [...], "even": {...}, "coeff": ...}``; ``DomainError`` if malformed."""
         coeff = ring.coeff
-        quotient = isinstance(coeff, PolyQuotientRing)
-        variables = coeff.variables if quotient else ()
+        variables = coeff.variables
         L = ring.odd_count
         if not isinstance(data, list):
             raise DomainError("an element's terms must be a list")
 
         def terms():
             for item in data:
-                item = json_mapping(item, "a term")
+                item = json_mapping(item, "a term", "coeff")
                 odd = item.get("odd") or []
                 if not isinstance(odd, list) or not all(type(i) is int and 0 < i <= L for i in odd):
                     raise DomainError(f"'odd' must list odd generator indices in 1..{L}, not {odd!r}")
@@ -447,18 +451,13 @@ class SuperElement:
                     if name not in variables:
                         raise DomainError(f"{name!r} is not an even generator of the ring")
                     json_count(e, f"the exponent of {name}")
-                if quotient:
-                    value = coeff.monomial(
-                        [even.get(v, 0) for v in variables], coeff.base.value_from_json(item["coeff"])
-                    )
-                else:
-                    value = coeff.value_from_json(item["coeff"])
-                yield mi.bits_from_indices(odd), value
+                c = coeff.base.value_from_json(item["coeff"])
+                yield mi.bits_from_indices(odd), coeff.monomial([even.get(v, 0) for v in variables], c)
 
         return SuperElement(ring, collect(coeff, terms()))
 
     @classmethod
     def from_json(cls, data):
-        data = json_mapping(data, "an element")
+        data = json_mapping(data, "an element", "ring", "terms")
         ring = SuperRing.from_json(data["ring"])
         return cls.terms_from_json(ring, data["terms"])

@@ -185,6 +185,56 @@ def test_eval_relation_rhs_terms_match_text_form(capsys, tmp_path):
     assert outputs[0] == outputs[1] == "2*x1^2\n"
 
 
+UOSP_COEFFS = {
+    "kind": "poly_quotient",
+    "vars": ["a", "ad", "b", "bd"],
+    "base": {"kind": "rational"},
+    "relation": {"lead": "a*ad", "rhs": "1 - b*bd"},
+}
+
+
+def _constant_rhs_descriptor(base_kind, c):
+    coeffs = {"kind": "poly_quotient", "vars": ["x0"], "base": {"kind": base_kind}}
+    return {"coeffs": {**coeffs, "relation": {"lead": "x0", "rhs": [{"exps": {}, "c": c}]}}}
+
+
+@pytest.mark.parametrize(
+    "expression, descriptor, message",
+    [
+        (
+            "b2*b3",
+            {
+                "coeffs": {"kind": "rational"},
+                "odd_generators": ["b1", "b2", "b3"],
+                "involution": {"odd_pairs": [["b1", "b2"], ["b1", "b3"]]},
+            },
+            "'b1' is paired twice",
+        ),
+        (
+            "a",
+            {"coeffs": UOSP_COEFFS, "involution": {"even_pairs": [["a", "ad"], ["a", "b"]]}},
+            "'a' is paired twice",
+        ),
+        ("a", {"coeffs": UOSP_COEFFS, "involution": {"even_pairs": [["a", "b"]]}}, "does not preserve"),
+        ("x0", {"coeffs": {**_quotient_descriptor("1")["coeffs"], "relation": {"lead": "x0"}}}, "has no 'rhs'"),
+        ("x0", _constant_rhs_descriptor("gaussian_rational", {"re": "1"}), "a Gaussian value has no 'im'"),
+        ("x0", _constant_rhs_descriptor("gaussian_radical", [{"re": "1", "im": "0"}]), "a radical term has no 'rad'"),
+        ("x0", _constant_rhs_descriptor("gaussian_radical", [{"rad": 2, "im": "0"}]), "a radical term has no 're'"),
+    ],
+    ids=[
+        "odd-paired-twice", "even-paired-twice", "relation-not-preserved", "relation-without-rhs",
+        "gaussian-without-im", "radical-without-rad", "radical-without-re",
+    ],
+)
+def test_eval_rejected_ring_descriptor_names_the_problem(capsys, tmp_path, expression, descriptor, message):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(descriptor))
+    code, out, err = run(capsys, "eval", expression, "--ring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_certify_malformed_ring_exit_two(capsys, tmp_path):
     data = make_sphere_projector(1).g.to_json()
     data["ring"]["odd_generators"] = 5

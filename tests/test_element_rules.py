@@ -1,4 +1,4 @@
-"""The element layer's three rules: the n-ary sum, the scalar multiple and the involution sign."""
+"""The element layer's rules: the n-ary sum, the scalar multiple, the involution sign and its table."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superalg.errors import DomainError, RingMismatchError
-from superalg.scalars import IntegerModRing, PolyQuotientRing, RationalRing
-from superalg.spheres import z6_ring
+from superalg.scalars import GaussianRationalRing, IntegerModRing, PolyQuotientRing, RationalRing, Relation
+from superalg.spheres import sphere_coeff_ring, z6_ring
 from superalg.suites import featured_rings, random_element, random_homogeneous
 from superalg.superanalysis import trig_super_ring
 from superalg.superring import Involution, SuperRing, grassmann_ring
@@ -109,12 +109,51 @@ def test_involution_of_a_long_monomial():
 
 
 def test_involution_table_that_is_not_a_bijection_is_rejected():
-    # b1 is paired twice, so b2 and b3 are both sent to b1.
-    ring = SuperRing(
-        IntegerModRing(7), ("b1", "b2", "b3"),
-        Involution.from_pairs(odd_pairs=[("b1", "b2"), ("b1", "b3")]),
-    )
-    b2, b3 = ring.odd_gen("b2"), ring.odd_gen("b3")
-    assert b2.involute() == -ring.odd_gen("b1")
+    # b1 is paired twice, so b2 and b3 would both be sent to b1.
     with pytest.raises(DomainError, match="not a bijection"):
-        (b2 * b3).involute()
+        SuperRing(
+            IntegerModRing(7), ("b1", "b2", "b3"),
+            Involution.from_pairs(odd_pairs=[("b1", "b2"), ("b1", "b3")]),
+        )
+
+
+QUOTIENT = PolyQuotientRing(RationalRing(), ("a", "ad", "b"))
+
+
+@pytest.mark.parametrize(
+    "coeff, involution, message",
+    [
+        (QUOTIENT, Involution.from_pairs(even_pairs=[("a", "zz")]), "unknown even generator 'zz'"),
+        (QUOTIENT, Involution.from_pairs(even_pairs=[("a", "ad"), ("a", "b")]), "'a' is paired twice"),
+        (RationalRing(), Involution.from_pairs(even_pairs=[("x", "y")]), "unknown even generator 'x'"),
+        (RationalRing(), Involution.from_pairs(odd_pairs=[("b1", "b1")]), "'b1' is paired twice"),
+        (RationalRing(), Involution.from_pairs(odd_pairs=[("b1", "b9")]), "unknown odd generator 'b9'"),
+    ],
+    ids=["unknown-even", "even-twice", "even-on-scalar-ring", "odd-self-pair", "unknown-odd"],
+)
+def test_involution_table_names_each_ring_generator_once(coeff, involution, message):
+    with pytest.raises(DomainError, match=message):
+        SuperRing(coeff, ("b1", "b2"), involution)
+
+
+def _uosp_relation_ring(even_pairs):
+    plain = PolyQuotientRing(RationalRing(), ("a", "ad", "b", "bd"))
+    rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
+    coeff = PolyQuotientRing(RationalRing(), plain.variables, Relation("product", ("a", "ad"), rhs))
+    return SuperRing(coeff, ("eta", "etad"), Involution.from_pairs(even_pairs, [("eta", "etad")]))
+
+
+def test_involution_must_preserve_the_relation():
+    ring = _uosp_relation_ring([("a", "ad"), ("b", "bd")])
+    a, ad = ring.generator("a"), ring.generator("ad")
+    assert (a * ad).involute() == (a * ad)
+    for swap in ([("x1", "x2")], [("x0", "x1")], [("x0", "x2"), ("x1", "x1")]):
+        SuperRing(sphere_coeff_ring(2), (), Involution.from_pairs(swap))
+    with pytest.raises(DomainError, match="does not preserve"):
+        _uosp_relation_ring([("a", "b")])
+    # x0^2 = i is sent to x0^2 = -i by conjugation alone.
+    plain = PolyQuotientRing(GaussianRationalRing(), ("x0",))
+    imaginary = PolyQuotientRing(plain.base, ("x0",), Relation("square", ("x0",), plain.imaginary_unit()))
+    SuperRing(imaginary)
+    with pytest.raises(DomainError, match="does not preserve"):
+        SuperRing(imaginary, (), Involution())
