@@ -5,7 +5,8 @@ Subcommands:
   eval    <expression>   normalize an expression over a ring descriptor
   certify <morphism.json>  check a user-supplied morphism for idempotence
 
-Exit codes: 0 pass, 1 clause failure, 2 usage or parse error.
+Exit codes: 0 pass, 1 clause failure, 2 usage or parse error (including a
+size option below 1 and input nested too deeply to read).
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _emit(report: SuiteReport, fmt: str) -> int:
 def _load_ring(path: str) -> SuperRing:
     with open(path, encoding="utf-8") as fh:
         return SuperRing.from_json(json.load(fh))
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the size options: an integer of at least 1, so no suite runs zero trials."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
 
 
 def cmd_verify(args) -> int:
@@ -101,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=sorted(SUITES))
-    verify.add_argument("--L", type=int, default=None, help="Grassmann generator count")
-    verify.add_argument("--n", type=int, default=None, help="instance index (sphere/landi level)")
-    verify.add_argument("--max-n", dest="max_n", type=int, default=None)
+    verify.add_argument("--L", type=positive_int, default=None, help="Grassmann generator count")
+    verify.add_argument("--n", type=positive_int, default=None, help="instance index (sphere/landi level)")
+    verify.add_argument("--max-n", dest="max_n", type=positive_int, default=None)
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--count", type=int, default=None, help="randomized trial count")
+    verify.add_argument("--count", type=positive_int, default=None, help="randomized trial count")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(func=cmd_verify)
 
@@ -130,7 +139,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SuperAlgError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (SuperAlgError, OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -79,15 +79,10 @@ def stably_free_certificate(bundle: SphereProjectorBundle) -> SuiteReport:
     report.add("idempotent", g.is_idempotent(), "g*g = g")
 
     xs = [ring.even_gen(f"x{i}") for i in range(n + 1)]
-    multipliers_ok = all(
-        g.apply(ModElement.basis(ring, g.source, i)) == alpha.right_mul(xs[i])
-        for i in range(n + 1)
-    )
-    report.add(
-        "image-generated-by-alpha",
-        multipliers_ok,
-        "multipliers: " + ", ".join(x.to_text() for x in xs),
-    )
+    report.trials("image-generated-by-alpha", "multipliers: " + ", ".join(x.to_text() for x in xs), (
+        (g.apply(ModElement.basis(ring, g.source, i)) == alpha.right_mul(x), {"i": i})
+        for i, x in enumerate(xs)
+    ))
     report.add("fixes-alpha", g.apply(alpha) == alpha, "g(alpha) = alpha")
 
     split = split_idempotent(g)
@@ -98,11 +93,7 @@ def stably_free_certificate(bundle: SphereProjectorBundle) -> SuiteReport:
 
     if n == 1:
         kernel_gen = ModElement(ring, g.source, [xs[1], -xs[0]])
-        report.add(
-            "kernel-generator-n1",
-            g.apply(kernel_gen).is_zero(),
-            "g(x1*s0 - x0*s1) = 0",
-        )
+        report.add("kernel-generator-n1", g.apply(kernel_gen).is_zero(), "g(x1*s0 - x0*s1) = 0")
     report.add(
         "stably-free",
         report.passed,
@@ -132,12 +123,9 @@ def z6_example() -> SuiteReport:
     report.add("idempotent", (three * three) == three, "3*3 = 3 in Z6")
     report.add("orthogonal", (three * four).is_zero(), "3*(1-3) = 0 in Z6")
 
-    image_e = set()
-    image_c = set()
+    image_e, image_c = set(), set()
     decomposition_ok = True
-    count = 0
-    for x in _all_z6_elements(ring):
-        count += 1
+    for count, x in enumerate(_all_z6_elements(ring), 1):
         ex = three * x
         cx = four * x
         image_e.add(ex.key())

@@ -103,7 +103,8 @@ class SuperRing:
 
         ``DomainError`` if the table names a generator the ring lacks, pairs one
         twice (both directions are listed, so it is the source of two entries),
-        or does not send the relation to itself.
+        leaves an odd generator unpaired (``(x**)** = -x`` needs a partner), or
+        does not send the relation to itself.
         """
         for kind, names, table in (
             ("odd", self._odd_pos, involution.odd_map),
@@ -115,6 +116,10 @@ class SuperRing:
                     raise DomainError(f"involution pairs unknown {kind} generator {name!r}")
                 if sources.count(name) > 1:
                     raise DomainError(f"involution table is not a bijection: {name!r} is paired twice")
+        paired = {u for u, _, _ in involution.odd_map}
+        for name in self.odd_names:
+            if name not in paired:
+                raise DomainError(f"involution table leaves odd generator {name!r} unpaired")
         images = [(1 << i, 1) for i in range(self.odd_count)]
         for u, v, sign in involution.odd_map:
             images[self._odd_pos[u]] = (1 << self._odd_pos[v], sign)

@@ -59,6 +59,8 @@ def test_determinism_modulo_timing(capsys):
         assert code == 0
         data = json.loads(out)
         data.pop("wall_time", None)
+        for clause in data["clauses"]:
+            clause.pop("seconds", None)
         reports.append(json.dumps(data, sort_keys=True))
     assert reports[0] == reports[1]
 
@@ -216,14 +218,23 @@ def _constant_rhs_descriptor(base_kind, c):
             "'a' is paired twice",
         ),
         ("a", {"coeffs": UOSP_COEFFS, "involution": {"even_pairs": [["a", "b"]]}}, "does not preserve"),
+        (
+            "b3",
+            {
+                "coeffs": {"kind": "rational"},
+                "odd_generators": ["b1", "b2", "b3"],
+                "involution": {"odd_pairs": [["b1", "b2"]]},
+            },
+            "involution table leaves odd generator 'b3' unpaired",
+        ),
         ("x0", {"coeffs": {**_quotient_descriptor("1")["coeffs"], "relation": {"lead": "x0"}}}, "has no 'rhs'"),
         ("x0", _constant_rhs_descriptor("gaussian_rational", {"re": "1"}), "a Gaussian value has no 'im'"),
         ("x0", _constant_rhs_descriptor("gaussian_radical", [{"re": "1", "im": "0"}]), "a radical term has no 'rad'"),
         ("x0", _constant_rhs_descriptor("gaussian_radical", [{"rad": 2, "im": "0"}]), "a radical term has no 're'"),
     ],
     ids=[
-        "odd-paired-twice", "even-paired-twice", "relation-not-preserved", "relation-without-rhs",
-        "gaussian-without-im", "radical-without-rad", "radical-without-re",
+        "odd-paired-twice", "even-paired-twice", "relation-not-preserved", "odd-unpaired",
+        "relation-without-rhs", "gaussian-without-im", "radical-without-rad", "radical-without-re",
     ],
 )
 def test_eval_rejected_ring_descriptor_names_the_problem(capsys, tmp_path, expression, descriptor, message):
@@ -305,3 +316,40 @@ def test_certify_malformed_coefficient_exit_two(capsys, tmp_path, kind, coeff):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grassmann-laws", "--count", "-5"],
+        ["hom-grading", "--count", "0"],
+        ["example-2-6", "--max-n", "-3"],
+        ["example-2-6", "--L", "0"],
+        ["landi", "--n", "0"],
+        ["nilpotency", "--count", "ten"],
+    ],
+)
+def test_verify_rejects_sizes_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}:" in err and "Traceback" not in err
+
+
+def _expect_one_error_line(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "recursion" in err
+
+
+def test_deeply_nested_expression_exits_two(capsys, grassmann_ring_file):
+    _expect_one_error_line(capsys, "eval", "(" * 1000 + "b1" + ")" * 1000, "--ring", grassmann_ring_file)
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    _expect_one_error_line(capsys, "certify", str(path))
+    _expect_one_error_line(capsys, "eval", "1", "--ring", str(path))

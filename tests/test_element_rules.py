@@ -117,6 +117,14 @@ def test_involution_table_that_is_not_a_bijection_is_rejected():
         )
 
 
+def test_involution_table_that_leaves_an_odd_generator_unpaired_is_rejected():
+    # An unpaired b3 would be fixed, so (b3**)** = b3 where the convention requires -b3.
+    with pytest.raises(DomainError, match="involution table leaves odd generator 'b3' unpaired"):
+        SuperRing(RationalRing(), ("b1", "b2", "b3"), Involution.from_pairs(odd_pairs=[("b1", "b2")]))
+    with pytest.raises(DomainError, match="leaves odd generator 'b1' unpaired"):
+        SuperRing(RationalRing(), ("b1",), Involution())
+
+
 QUOTIENT = PolyQuotientRing(RationalRing(), ("a", "ad", "b"))
 
 
