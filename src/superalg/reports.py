@@ -61,7 +61,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
+        """True if the report has a clause and every clause passed."""
+        return bool(self.clauses) and all(c.passed for c in self.clauses)
 
     def to_json(self, include_timing: bool = True) -> dict:
         clauses = [{"name": c.name, "pass": c.passed, "witness": c.witness} for c in self.clauses]

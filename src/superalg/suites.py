@@ -146,6 +146,8 @@ def suite_grassmann_laws(seed: int = 0, count: int = 500) -> SuiteReport:
 
 def suite_example_2_6(L: int = 10, max_n: int = 5) -> SuiteReport:
     """Coefficient of the first 2n generators in x^n is n!, x = sum of all b_i b_j."""
+    if L < 2:
+        raise DomainError(f"example-2-6 needs --L of at least 2, got {L}: below 2 it checks no coefficient")
     ring = grassmann_ring(L)
     report = SuiteReport("example-2-6", params={"L": L, "max_n": max_n})
     one = ring.coeff.one()
@@ -268,7 +270,7 @@ def suite_universal_property(count: int = 50, seed: int = 0) -> SuiteReport:
             x = _random_vector(rng, gr, source)
             rhs = phi.apply(x).left_mul(a)
             if (dphi * pa) % 2:
-                rhs = ModElement(gr, source, [-c for c in rhs.coeffs])
+                rhs = -rhs
             yield left_evaluate(phi, a, x) == rhs, {"phi": phi.matrix, "a": a, "x": x.coeffs}
 
     report.trials(
@@ -444,6 +446,8 @@ def suite_trig(L: int = 6, count: int = 25, seed: int = 0) -> SuiteReport:
 
 def suite_sqrt(L: int = 6, count: int = 100, seed: int = 0) -> SuiteReport:
     """The even square-root recursion against the binomial-series oracle."""
+    if L < 2:
+        raise DomainError(f"sqrt needs --L of at least 2, got {L}: its worked example multiplies b1*b2")
     ring = grassmann_ring(L)
     rng = random.Random(seed)
     report = SuiteReport("sqrt", params={"L": L, "count": count}, seed=seed)

@@ -2,10 +2,10 @@
 
 A jet is a finite derivative table at a body point.  Analytic continuation
 shifts the argument by a nilpotent soul, so the Taylor sum is finite and
-exact.  The trig backend works over the quotient ring
-``Q[S, C] / (S^2 + C^2 - 1)``, where S and C stand for the sine and cosine
-of a symbolic base angle and differentiation cycles through
-``(S, C, -S, -C)``.
+exact.  Super sine and cosine are such continuations on every ring.  Over
+the trig ring ``Q[S, C] / (S^2 + C^2 - 1)``, S and C stand for the sine and
+cosine of a symbolic base angle and differentiation cycles through
+``(S, C, -S, -C)``; on any other ring the jets are taken at 0.
 
 The truncation bound of a jet is a contract with the caller: for
 transcendental jets choose the order at least the odd generator count of the
@@ -162,13 +162,28 @@ def continue_analytically(jet: Jet, xs) -> SuperElement:
             raise DomainError("body of the argument does not match the jet base point")
         souls.append(SuperElement(ring, {b: c for b, c in x.terms.items() if b}))
 
+    powers = [{1: soul} for soul in souls]
+
+    def soul_power(memo, d):
+        """``s^d``, kept for this call in ``memo = {k: s^k}`` and filled upward by ``s^k = s^(k-2) s^2``."""
+        if d >= 2 and 2 not in memo:
+            memo[2] = memo[1] * memo[1]
+        e = d
+        while e not in memo:
+            e -= 2
+        for k in range(e + 2, d + 1, 2):
+            memo[k] = memo[k - 2] * memo[2]
+        return memo[d]
+
     def taylor_terms():
         for degrees, value in jet.table:
+            factors = [soul_power(memo, d) for memo, d in zip(powers, degrees) if d]
+            if any(f.is_zero() for f in factors):
+                continue  # before 1/k! is formed: it need not exist in the coefficient ring
             fact = math.prod(math.factorial(d) for d in degrees)
             term = ring.from_coeff(value).scale(Fraction(1, fact))
-            for soul, d in zip(souls, degrees):
-                if d:
-                    term = term * soul ** d
+            for f in factors:
+                term = term * f
             yield term
 
     return ring.sum(taylor_terms())
@@ -219,78 +234,52 @@ def trig_super_ring(L: int) -> SuperRing:
     return SuperRing(trig_coeff_ring(), tuple(f"b{i}" for i in range(1, L + 1)))
 
 
-def _trig_cycle(ring: PolyQuotientRing):
-    s, c = ring.var("S"), ring.var("C")
-    return (s, c, ring.neg(s), ring.neg(c))
+def _trig_jet(order: int, ring, phase: int) -> Jet:
+    """Sine's derivatives ``(s, c, -s, -c)`` from ``phase`` on, with ``s, c`` sine and cosine at the base.
 
-
-def sin_jet(order: int, ring: PolyQuotientRing = None) -> Jet:
+    On the trig ring the base is the symbolic angle, so ``s, c = S, C``; on any
+    other ring it is 0, so ``s, c = 0, 1``.
+    """
     ring = ring or trig_coeff_ring()
-    cycle = _trig_cycle(ring)
-    return Jet.from_dict(1, order, ring, {(k,): cycle[k % 4] for k in range(order + 1)})
+    if isinstance(ring, PolyQuotientRing) and ring.variables == ("S", "C") and ring.relation is not None:
+        s, c, base = ring.var("S"), ring.var("C"), None
+    else:
+        s, c = ring.zero(), ring.one()
+        base = (s,)
+    cycle = (s, c, ring.neg(s), ring.neg(c))
+    return Jet.from_dict(1, order, ring, {(k,): cycle[(k + phase) % 4] for k in range(order + 1)}, base)
 
 
-def cos_jet(order: int, ring: PolyQuotientRing = None) -> Jet:
-    ring = ring or trig_coeff_ring()
-    cycle = _trig_cycle(ring)
-    return Jet.from_dict(1, order, ring, {(k,): cycle[(k + 1) % 4] for k in range(order + 1)})
+def sin_jet(order: int, ring=None) -> Jet:
+    """The jet of sine: at the symbolic base angle on the trig ring (the default), else at 0."""
+    return _trig_jet(order, ring, 0)
 
 
-def _is_trig_ring(coeff) -> bool:
-    return (
-        isinstance(coeff, PolyQuotientRing)
-        and coeff.variables == ("S", "C")
-        and coeff.relation is not None
-    )
+def cos_jet(order: int, ring=None) -> Jet:
+    """The jet of cosine; see :func:`sin_jet`."""
+    return _trig_jet(order, ring, 1)
 
 
-def _trig_eval(theta: SuperElement, phase: int) -> SuperElement:
+def _continue_trig(theta: SuperElement, jet_of) -> SuperElement:
     ring = theta.ring
-    if theta.parity() != 0 and not theta.is_zero():
-        raise ParityError("the angle must be an even element")
     if not ring.coeff.is_zero(theta.terms.get(0, ring.coeff.zero())):
-        raise DomainError("symbolic-angle backend takes the soul only (zero constant term)")
-    order = ring.odd_count
-    jet = sin_jet(order, ring.coeff) if phase == 0 else cos_jet(order, ring.coeff)
-    return continue_analytically(jet, [theta])
-
-
-def _series_eval(theta: SuperElement, sine: bool) -> SuperElement:
-    ring = theta.ring
-    if theta.parity() != 0 and not theta.is_zero():
-        raise ParityError("the angle must be an even element")
-    if not theta.is_nilpotent():
-        raise DomainError("series backend requires a nilpotent angle (zero body)")
-    result = ring.zero()
-    power = theta if sine else ring.one()  # theta^(2i+1) or theta^(2i)
-    k = 1 if sine else 0
-    sign = 1
-    theta_sq = theta * theta
-    while not power.is_zero():
-        result = result + power.scale(Fraction(sign, math.factorial(k)))
-        power = power * theta_sq
-        k += 2
-        sign = -sign
-    return result
+        raise DomainError("the angle must have zero constant term (its soul only)")
+    return continue_analytically(jet_of(ring.odd_count, ring.coeff), [theta])
 
 
 def super_sin(theta: SuperElement) -> SuperElement:
-    """Exact super sine.
+    """Exact super sine of an even angle with zero constant term.
 
     Over the trig quotient ring the angle is ``(symbolic base) + soul`` and
-    ``theta`` carries the soul; elsewhere the body must vanish and the power
-    series truncates exactly.
+    ``theta`` carries the soul; elsewhere it is the angle itself.  Either way
+    this is the continuation of :func:`sin_jet` of order ``odd_count``.
     """
-    if _is_trig_ring(theta.ring.coeff):
-        return _trig_eval(theta, 0)
-    return _series_eval(theta, sine=True)
+    return _continue_trig(theta, sin_jet)
 
 
 def super_cos(theta: SuperElement) -> SuperElement:
     """Exact super cosine; see :func:`super_sin`."""
-    if _is_trig_ring(theta.ring.coeff):
-        return _trig_eval(theta, 1)
-    return _series_eval(theta, sine=False)
+    return _continue_trig(theta, cos_jet)
 
 
 # -- even square roots and the supercircle -----------------------------------------

@@ -3,7 +3,8 @@
 Conventions: modules are right modules; a morphism is a matrix with
 columns-are-images, so ``phi(b_j) = sum_i b_i M[i][j]`` and
 ``phi(sum_j b_j c_j) = sum_i b_i (sum_j M[i][j] c_j)``.  A free type (p, q)
-lists its p even basis vectors first, then its q odd ones.
+lists its p even basis vectors first, then its q odd ones.  Every sign of
+moving a coefficient past a graded factor is :func:`_koszul`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from dataclasses import dataclass
 from .errors import DomainError, ParityError, RingMismatchError, ShapeError
 from .scalars import json_count, json_mapping
 from .superring import SuperElement, SuperRing
+
+
+def _koszul(c: SuperElement, k: int) -> SuperElement:
+    """``c`` moved past a factor of parity ``k``: each part of ``c`` gains ``(-1)**(|c|k)``."""
+    return c.homogeneous_part(0) - c.homogeneous_part(1) if k % 2 else c
 
 
 @dataclass(frozen=True)
@@ -98,16 +104,10 @@ class ModElement:
         a_parity = a.parity()
         if a_parity is None:
             raise ParityError("left action requires a homogeneous scalar")
-
-        def signed_parts(basis_parity, c):
-            for cpar in (0, 1):
-                term = c.homogeneous_part(cpar) * a
-                yield -term if a_parity == 1 and (basis_parity + cpar) % 2 == 1 else term
-
-        out = [
-            self.ring.sum(signed_parts(basis_parity, c))
-            for basis_parity, c in zip(self.ftype.parities, self.coeffs)
-        ]
+        out = []
+        for basis_parity, c in zip(self.ftype.parities, self.coeffs):
+            term = _koszul(c, a_parity) * a
+            out.append(-term if a_parity * basis_parity else term)
         return ModElement(self.ring, self.ftype, out)
 
     def parity(self):
@@ -433,46 +433,25 @@ def tensor_elements(x: ModElement, y: ModElement) -> ModElement:
     """``x (x) y`` with the Koszul sign for moving coefficients past basis vectors."""
     if x.ring != y.ring:
         raise RingMismatchError("elements over different rings")
-    ring = x.ring
-    ftype = x.ftype.tensor(y.ftype)
-    pairs = tensor_basis(x.ftype, y.ftype)
     p2 = y.ftype.parities
-
-    def signed_parts(i, j):
-        for cpar in (0, 1):
-            term = x.coeffs[i].homogeneous_part(cpar) * y.coeffs[j]
-            yield -term if cpar == 1 and p2[j] == 1 else term
-
-    return ModElement(ring, ftype, [ring.sum(signed_parts(i, j)) for i, j in pairs])
+    coeffs = [_koszul(x.coeffs[i], p2[j]) * y.coeffs[j] for i, j in tensor_basis(x.ftype, y.ftype)]
+    return ModElement(x.ring, x.ftype.tensor(y.ftype), coeffs)
 
 
 def tensor_morphisms(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
     """``phi (x) psi`` acting by ``(phi(x)psi)(x(x)y) = (-1)**(|psi||x|) phi(x)(x)psi(y)``."""
     if phi.ring != psi.ring:
         raise RingMismatchError("morphisms over different rings")
-    ring = phi.ring
-    source = phi.source.tensor(psi.source)
-    target = phi.target.tensor(psi.target)
-    src_pairs = tensor_basis(phi.source, psi.source)
-    tgt_pairs = tensor_basis(phi.target, psi.target)
-    src1 = phi.source.parities
+    src1, src2 = phi.source.parities, psi.source.parities
     tgt2 = psi.target.parities
-    psi_parts = psi.grade_split()
 
-    def signed_terms(i, j, k, l):
-        for d in (0, 1):
-            n_entry = psi_parts[d].matrix[l][j]
-            if n_entry.is_zero():
-                continue
-            for mpar in (0, 1):
-                m_entry = phi.matrix[k][i].homogeneous_part(mpar)
-                if m_entry.is_zero():
-                    continue
-                term = m_entry * n_entry
-                yield -term if (d * src1[i] + mpar * tgt2[l]) % 2 else term
+    def entry(i, j, k, l):
+        term = _koszul(phi.matrix[k][i], tgt2[l]) * _koszul(psi.matrix[l][j], src1[i])
+        return -term if src1[i] * (tgt2[l] + src2[j]) % 2 else term
 
-    rows = [[ring.sum(signed_terms(i, j, k, l)) for i, j in src_pairs] for k, l in tgt_pairs]
-    return SuperMorphism(ring, source, target, rows)
+    src_pairs = tensor_basis(phi.source, psi.source)
+    rows = [[entry(i, j, k, l) for i, j in src_pairs] for k, l in tensor_basis(phi.target, psi.target)]
+    return SuperMorphism(phi.ring, phi.source.tensor(psi.source), phi.target.tensor(psi.target), rows)
 
 
 # -- endomorphism modules ----------------------------------------------------------

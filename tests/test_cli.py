@@ -337,6 +337,13 @@ def test_verify_rejects_sizes_below_one(capsys, argv):
     assert f"argument {argv[1]}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["example-2-6", "sqrt"])
+def test_verify_below_two_generators_names_the_option(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--L", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {suite} needs --L of at least 2, got 1") and "Traceback" not in err
+
+
 def _expect_one_error_line(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

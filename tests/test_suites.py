@@ -135,3 +135,10 @@ def test_clause_seconds_are_timing():
     assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in timed)
     assert sum(c["seconds"] for c in timed) <= rep.wall_time
     assert all("seconds" not in c for c in rep.to_json(include_timing=False)["clauses"])
+
+
+def test_a_report_without_clauses_fails():
+    assert not SuiteReport("empty").passed
+    rep = run_suite("example-2-6", max_n=0)
+    assert not rep.clauses and not rep.passed
+    assert json.loads(rep.to_json_text())["pass"] is False

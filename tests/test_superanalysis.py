@@ -27,6 +27,7 @@ from superalg.superanalysis import (
     trig_coeff_ring,
     trig_super_ring,
 )
+from superalg.spheres import z6_ring
 from superalg.superring import grassmann_ring
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -154,17 +155,40 @@ class TestGInfinity:
 
 class TestTrig:
     def test_series_backend_truncates(self):
-        ring = grassmann_ring(2)
-        theta = ring.odd_gen_at(1) * ring.odd_gen_at(2)
-        assert super_sin(theta) == theta
-        assert super_cos(theta) == ring.one()
-        assert super_sin(ring.zero()).is_zero()
-        assert super_cos(ring.zero()) == ring.one()
+        # Z/6 has no 1/2, so cos(xi1 xi2) = 1 needs the zero square skipped before its 1/2! is formed.
+        for ring in (grassmann_ring(2), z6_ring()):
+            theta = ring.odd_gen_at(1) * ring.odd_gen_at(2)
+            assert super_sin(theta) == theta
+            assert super_cos(theta) == ring.one()
+            assert super_sin(ring.zero()).is_zero()
+            assert super_cos(ring.zero()) == ring.one()
 
     def test_series_backend_requires_nilpotent(self):
         ring = grassmann_ring(2)
         with pytest.raises(DomainError):
             super_sin(ring.one())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_even_soul_matches_textbook_series(self, seed):
+        ring = grassmann_ring(8)
+        rng = random.Random(seed)
+        masks = [b for b in range(1, 1 << 8) if b.bit_count() % 2 == 0]
+        theta = ring.element({b: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for b in masks})
+        t2 = theta * theta
+        t3, t4 = t2 * theta, t2 * t2
+        assert (t4 * theta).is_zero()  # degree at least 10 > 8: the series stops at theta^4
+        assert super_sin(theta) == theta - t3.scale(Fraction(1, 6))
+        assert super_cos(theta) == ring.one() - t2.scale(Fraction(1, 2)) + t4.scale(Fraction(1, 24))
+
+    def test_sin_cos_accept_any_even_angle_with_zero_constant_term(self):
+        ring = make_uosp_ring()  # a quotient ring that is not the trig ring: jets at 0
+        theta = ring.even_gen("a") * ring.odd_gen("eta") * ring.odd_gen("etad")
+        assert super_sin(theta) == theta
+        assert super_cos(theta) == ring.one() - (theta * theta).scale(Fraction(1, 2))
+        with pytest.raises(DomainError, match="zero constant term"):
+            super_cos(ring.one())
+        with pytest.raises(ParityError):
+            super_sin(ring.odd_gen_at(1))
 
     @settings(max_examples=25)
     @given(seeds)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -218,18 +219,21 @@ class TestTensor:
         even_pair = tensor_elements(y, y)
         assert even_pair.coeffs[basis.index((1, 1))] == ring.one()
 
-    @settings(max_examples=30)
+    @settings(max_examples=20)
     @given(seeds)
-    def test_tensor_morphisms_functorial_on_even(self, seed):
+    def test_tensor_morphisms_koszul_law(self, seed):
+        """``(phi (x) psi)(x (x) y) = (-1)**(|psi||x|) phi(x) (x) psi(y)`` in all 16 cases."""
         rng = random.Random(seed)
-        t = FreeType(1, 1)
-        phi = rand_morphism(rng, RING, t, t).grade_split()[0]
-        psi = rand_morphism(rng, RING, t, t).grade_split()[0]
-        x = rand_vector(rng, RING, t)
-        y = rand_vector(rng, RING, t)
-        lhs = tensor_morphisms(phi, psi).apply(tensor_elements(x, y))
-        rhs = tensor_elements(phi.apply(x), psi.apply(y))
-        assert lhs == rhs
+        e1, f1, e2, f2 = FreeType(1, 1), FreeType(2, 1), FreeType(1, 2), FreeType(1, 1)
+        for ring in (RING, grassmann_ring(3)):
+            for dphi, dpsi, px in itertools.product((0, 1), repeat=3):
+                phi = rand_morphism(rng, ring, e1, f1).grade_split()[dphi]
+                psi = rand_morphism(rng, ring, e2, f2).grade_split()[dpsi]
+                x = ModElement(ring, e1, [random_homogeneous(rng, ring, (px + bp) % 2) for bp in e1.parities])
+                y = rand_vector(rng, ring, e2)
+                lhs = tensor_morphisms(phi, psi).apply(tensor_elements(x, y))
+                rhs = tensor_elements(phi.apply(x), psi.apply(y))
+                assert lhs == (-rhs if dpsi * px else rhs), (ring, dphi, dpsi, px)
 
 
 def test_end_projector():
