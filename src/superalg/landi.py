@@ -28,7 +28,7 @@ def make_uosp_ring() -> SuperRing:
     variables = ("a", "ad", "b", "bd")
     plain = PolyQuotientRing(base, variables)
     rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
-    coeff = PolyQuotientRing(base, variables, Relation("product", ("a", "ad"), rhs))
+    coeff = PolyQuotientRing(base, variables, Relation(("a", "ad"), rhs))
     involution = Involution.from_pairs(
         even_pairs=[("a", "ad"), ("b", "bd")],
         odd_pairs=[("eta", "etad")],

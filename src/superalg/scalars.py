@@ -50,7 +50,10 @@ def collect(ring, pairs) -> dict:
 
 
 def _parse_fraction(text) -> Fraction:
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"coefficient {text!r} is not a rational number") from None
 
 
 class GaussianRational:
@@ -493,15 +496,14 @@ class PolyValue:
 
 @dataclass(frozen=True)
 class Relation:
-    """A single quadratic rewrite rule.
+    """A single quadratic rewrite rule ``heads[0]*heads[1] -> rhs``.
 
-    ``("square", (v,))`` rewrites ``v**2 -> rhs``; ``("product", (u, v))``
-    rewrites ``u*v -> rhs``.  ``rhs`` must not mention the rewritten
-    variables, which makes the rewrite terminating and confluent.
+    ``heads`` is a pair of variable names; a square is the pair of one name,
+    so ``("x0", "x0")`` rewrites ``x0**2``.  ``rhs`` must not mention the
+    head variables, which makes the rewrite terminating and confluent.
     """
 
-    form: str  # "square" | "product"
-    heads: tuple
+    heads: tuple  # (u, v)
     rhs: "PolyValue"
 
 
@@ -515,14 +517,17 @@ class PolyQuotientRing(CoeffRing):
         self.base = base
         self.variables = tuple(variables)
         self._var_pos = {v: i for i, v in enumerate(self.variables)}
+        if len(self._var_pos) != len(self.variables):
+            raise DomainError(f"ring variables must be distinct, not {list(self.variables)}")
         self.relation = relation
         if relation is not None:
-            for h in relation.heads:
-                if h not in self._var_pos:
-                    raise DomainError(f"relation head {h!r} is not a ring variable")
-                for exps, _ in relation.rhs.coeffs:
-                    if exps[self._var_pos[h]]:
-                        raise DomainError("relation right-hand side must not mention its head variables")
+            heads = relation.heads
+            if not isinstance(heads, tuple) or len(heads) != 2 or not all(h in self._var_pos for h in heads):
+                raise DomainError(f"relation heads {heads!r} are not a pair of ring variables")
+            self._heads = tuple(self._var_pos[h] for h in heads)
+            for exps, _ in relation.rhs.coeffs:
+                if any(exps[i] for i in self._heads):
+                    raise DomainError("relation right-hand side must not mention its head variables")
             self._rhs_powers = [self.one(), relation.rhs]
 
     # -- construction -----------------------------------------------------
@@ -561,20 +566,15 @@ class PolyQuotientRing(CoeffRing):
         return self._rhs_powers[k]
 
     def _reduce_monomial(self, exps, c):
-        """Rewrite one monomial; yields ``(exponents, scalar)`` terms."""
-        rel = self.relation
-        exps = list(exps)
-        if rel.form == "square":
-            i = self._var_pos[rel.heads[0]]
-            k, exps[i] = divmod(exps[i], 2)
-        else:
-            i, j = (self._var_pos[h] for h in rel.heads)
-            k = min(exps[i], exps[j])
-            exps[i] -= k
-            exps[j] -= k
+        """Rewrite the lead product ``k`` times out of one monomial; yields ``(exponents, scalar)`` terms."""
+        i, j = self._heads
+        k = exps[i] // 2 if i == j else min(exps[i], exps[j])
         if k == 0:
-            yield tuple(exps), c
+            yield exps, c
             return
+        exps = list(exps)
+        exps[i] -= k
+        exps[j] -= k
         for rexp, rc in self._rhs_power(k).coeffs:
             yield tuple(a + b for a, b in zip(exps, rexp)), self.base.mul(c, rc)
 
@@ -668,10 +668,8 @@ class PolyQuotientRing(CoeffRing):
     def to_json(self):
         rel = None
         if self.relation is not None:
-            rel = {
-                "lead": list(self.relation.heads) if len(self.relation.heads) > 1 else self.relation.heads[0],
-                "rhs": self.value_to_json(self.relation.rhs),
-            }
+            u, v = self.relation.heads
+            rel = {"lead": u if u == v else [u, v], "rhs": self.value_to_json(self.relation.rhs)}
         return {
             "kind": "poly_quotient",
             "vars": list(self.variables),
@@ -723,30 +721,18 @@ def coeff_ring_from_json(data) -> CoeffRing:
         rel = data.get("relation")
         if rel is not None:
             lead = json_mapping(rel, "'relation'", "rhs").get("lead")
+            if isinstance(lead, str):  # "x" is x*x; "x*y" and "x*x" name both factors
+                lead = lead.split("*") if "*" in lead else [lead, lead]
+            heads = json_names(lead, "'lead'")
+            if len(heads) != 2:
+                raise DomainError("'lead' must name one variable or a product of two")
             rhs_data = rel["rhs"]
             if isinstance(rhs_data, str):
-                rhs = _parse_poly_text(ring, rhs_data)
+                from .expressions import parse_polynomial  # imported here: expressions imports this module
+
+                rhs = parse_polynomial(rhs_data, ring)
             else:
                 rhs = ring.value_from_json(rhs_data)
-            if isinstance(lead, str) and "*" in lead:
-                lead = lead.split("*")
-            if isinstance(lead, str):
-                relation = Relation("square", (lead,), rhs)
-            elif len(json_names(lead, "'lead'")) == 2:
-                relation = Relation("product", tuple(lead), rhs)
-            else:
-                raise DomainError("'lead' must name one variable or a product of two")
-            ring = PolyQuotientRing(base, variables, relation)
+            ring = PolyQuotientRing(base, variables, Relation(heads, rhs))
         return ring
     raise DomainError(f"unknown coefficient ring kind {kind!r}")
-
-
-def _parse_poly_text(ring: PolyQuotientRing, text: str) -> PolyValue:
-    """Parse simple relation right-hand sides like ``1 - x1^2``.
-
-    Full expression parsing lives in :mod:`superalg.expressions`; importing
-    lazily avoids a module cycle.
-    """
-    from .expressions import parse_polynomial
-
-    return parse_polynomial(text, ring)

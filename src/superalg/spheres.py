@@ -18,15 +18,15 @@ from .supermodule import FreeType, ModElement, SuperMorphism, split_idempotent
 from .superring import SuperRing
 
 
-def sphere_coeff_ring(n: int, base: CoeffRing = None, prefix: str = "x") -> PolyQuotientRing:
+def sphere_coeff_ring(n: int, base: CoeffRing = None) -> PolyQuotientRing:
     """``base[x0..xn]`` with the relation ``x0^2 = 1 - x1^2 - ... - xn^2``."""
     base = base or RationalRing()
-    variables = tuple(f"{prefix}{i}" for i in range(n + 1))
+    variables = tuple(f"x{i}" for i in range(n + 1))
     plain = PolyQuotientRing(base, variables)
     rhs = plain.one()
     for v in variables[1:]:
         rhs = plain.sub(rhs, plain.mul(plain.var(v), plain.var(v)))
-    return PolyQuotientRing(base, variables, Relation("square", (variables[0],), rhs))
+    return PolyQuotientRing(base, variables, Relation((variables[0], variables[0]), rhs))
 
 
 def sphere_ring(n: int, base: CoeffRing = None, odd_names=()) -> SuperRing:

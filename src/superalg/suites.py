@@ -473,11 +473,12 @@ def suite_sqrt(L: int = 6, count: int = 100, seed: int = 0) -> SuiteReport:
     return report
 
 
-def suite_landi(n: int = 1, seed: int = 0, vectors: int = 20) -> SuiteReport:
+def suite_landi(n: int = 1, seed: int = 0) -> SuiteReport:
     """The rank-one supersphere projector at level n."""
     ring = make_uosp_ring()
     rng = random.Random(seed)
     bra = make_bra(n, ring)
+    vectors = 20
     report = SuiteReport("landi", params={"n": n, "vectors": vectors}, seed=seed)
 
     ip = inner(bra)

@@ -152,7 +152,7 @@ def continue_analytically(jet: Jet, xs) -> SuperElement:
         raise DomainError("jet values and coordinates live over different coefficient rings")
     souls = []
     for i, x in enumerate(xs):
-        if x.parity() != 0 and not x.is_zero():
+        if x.parity() != 0:
             raise ParityError("continuation arguments must be even")
         constant = x.terms.get(0, ring.coeff.zero())
         if jet.base is None:
@@ -227,7 +227,7 @@ def trig_coeff_ring() -> PolyQuotientRing:
     base = RationalRing()
     plain = PolyQuotientRing(base, ("S", "C"))
     rhs = plain.sub(plain.one(), plain.mul(plain.var("C"), plain.var("C")))
-    return PolyQuotientRing(base, ("S", "C"), Relation("square", ("S",), rhs))
+    return PolyQuotientRing(base, ("S", "C"), Relation(("S", "S"), rhs))
 
 
 def trig_super_ring(L: int) -> SuperRing:
@@ -316,7 +316,7 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
     ring = z.ring
     coeff = ring.coeff
     z._require_pure_grassmann()
-    if z.parity() != 0 and not z.is_zero():
+    if z.parity() != 0:
         raise ParityError("square roots are defined for even elements only")
     root0 = coeff.from_fraction(root0) if isinstance(root0, (int, Fraction)) else root0
     if not coeff.eq(coeff.mul(root0, root0), z.body()):

@@ -123,9 +123,6 @@ class ModElement:
             out.append(c.homogeneous_part((parity + basis_parity) % 2))
         return ModElement(self.ring, self.ftype, out)
 
-    def grade_split(self):
-        return self.homogeneous_part(0), self.homogeneous_part(1)
-
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
@@ -298,7 +295,7 @@ class SuperMorphism:
 
     @classmethod
     def from_json(cls, data):
-        data = json_mapping(data, "a morphism")
+        data = json_mapping(data, "a morphism", "ring", "source", "target", "matrix")
         ring = SuperRing.from_json(data["ring"])
         source = FreeType.from_json(data["source"])
         target = FreeType.from_json(data["target"])

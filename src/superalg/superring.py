@@ -90,6 +90,9 @@ class SuperRing:
             raise CapacityError(f"at most {mi.MAX_GENERATORS} odd generators supported")
         if len(set(odd_names)) != len(odd_names):
             raise DomainError("odd generator names must be distinct")
+        for name in odd_names:
+            if name in coeff.variables:
+                raise DomainError(f"generator {name!r} is both odd and even")
         self.coeff = coeff
         self.odd_names = odd_names
         self._odd_pos = {name: i for i, name in enumerate(odd_names)}
@@ -129,8 +132,7 @@ class SuperRing:
         if rel is not None:
             # The involution is well defined on the quotient when the image of
             # the lead monomial reduces to the image of the right-hand side.
-            heads = rel.heads if rel.form == "product" else rel.heads * 2
-            u, v = (self._even_images.get(h, h) for h in heads)
+            u, v = (self._even_images.get(h, h) for h in rel.heads)
             if self.coeff.mul(self.coeff.var(u), self.coeff.var(v)) != self.coeff_involute(rel.rhs):
                 raise DomainError("the involution does not preserve the ring's relation")
 
@@ -237,11 +239,11 @@ class SuperRing:
         return f"SuperRing({self.coeff.to_json()}, odd={self.odd_names})"
 
 
-def grassmann_ring(L: int, coeff: CoeffRing = None, prefix: str = "b") -> SuperRing:
+def grassmann_ring(L: int, coeff: CoeffRing = None) -> SuperRing:
     """The Grassmann algebra on ``L`` odd generators over ``coeff``."""
     from .scalars import RationalRing
 
-    return SuperRing(coeff or RationalRing(), tuple(f"{prefix}{i}" for i in range(1, L + 1)))
+    return SuperRing(coeff or RationalRing(), tuple(f"b{i}" for i in range(1, L + 1)))
 
 
 class SuperElement:

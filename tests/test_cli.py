@@ -231,10 +231,22 @@ def _constant_rhs_descriptor(base_kind, c):
         ("x0", _constant_rhs_descriptor("gaussian_rational", {"re": "1"}), "a Gaussian value has no 'im'"),
         ("x0", _constant_rhs_descriptor("gaussian_radical", [{"re": "1", "im": "0"}]), "a radical term has no 'rad'"),
         ("x0", _constant_rhs_descriptor("gaussian_radical", [{"rad": 2, "im": "0"}]), "a radical term has no 're'"),
+        (
+            "x*x",
+            {"coeffs": {"kind": "poly_quotient", "vars": ["x", "x"], "base": {"kind": "rational"}}},
+            "ring variables must be distinct",
+        ),
+        (
+            "x*x",
+            {"coeffs": {"kind": "poly_quotient", "vars": ["x"], "base": {"kind": "rational"}}, "odd_generators": ["x"]},
+            "generator 'x' is both odd and even",
+        ),
+        ("x0", _constant_rhs_descriptor("rational", "1/0"), "coefficient '1/0' is not a rational number"),
     ],
     ids=[
         "odd-paired-twice", "even-paired-twice", "relation-not-preserved", "odd-unpaired",
         "relation-without-rhs", "gaussian-without-im", "radical-without-rad", "radical-without-re",
+        "duplicate-variables", "odd-and-even-name", "zero-denominator",
     ],
 )
 def test_eval_rejected_ring_descriptor_names_the_problem(capsys, tmp_path, expression, descriptor, message):
@@ -292,6 +304,27 @@ def test_certify_malformed_morphism_exit_two(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_with_term("coeff", "1/0"), "coefficient '1/0' is not a rational number"),
+        (_without("source"), "a morphism has no 'source'"),
+        (_without("matrix"), "a morphism has no 'matrix'"),
+    ],
+    ids=["coeff-zero-denominator", "no-source", "no-matrix"],
+)
+def test_certify_malformed_morphism_names_the_problem(capsys, tmp_path, mutate, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(mutate(make_sphere_projector(1).g.to_json())))
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def _identity_over(ring):

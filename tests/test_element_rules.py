@@ -147,7 +147,7 @@ def test_involution_table_names_each_ring_generator_once(coeff, involution, mess
 def _uosp_relation_ring(even_pairs):
     plain = PolyQuotientRing(RationalRing(), ("a", "ad", "b", "bd"))
     rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
-    coeff = PolyQuotientRing(RationalRing(), plain.variables, Relation("product", ("a", "ad"), rhs))
+    coeff = PolyQuotientRing(RationalRing(), plain.variables, Relation(("a", "ad"), rhs))
     return SuperRing(coeff, ("eta", "etad"), Involution.from_pairs(even_pairs, [("eta", "etad")]))
 
 
@@ -161,7 +161,7 @@ def test_involution_must_preserve_the_relation():
         _uosp_relation_ring([("a", "b")])
     # x0^2 = i is sent to x0^2 = -i by conjugation alone.
     plain = PolyQuotientRing(GaussianRationalRing(), ("x0",))
-    imaginary = PolyQuotientRing(plain.base, ("x0",), Relation("square", ("x0",), plain.imaginary_unit()))
+    imaginary = PolyQuotientRing(plain.base, ("x0",), Relation(("x0", "x0"), plain.imaginary_unit()))
     SuperRing(imaginary)
     with pytest.raises(DomainError, match="does not preserve"):
         SuperRing(imaginary, (), Involution())

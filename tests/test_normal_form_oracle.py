@@ -2,9 +2,10 @@
 
 A single polynomial is a Groebner basis, so the remainder of ``sympy.reduced``
 under ``lex`` order, with the relation's head variables first, is the unique
-normal form.  Both relation shapes are covered, the sphere square
-``x0^2 = 1 - x1^2 - ...`` and the supersphere product ``a*ad = 1 - b*bd``,
-over rational, Gaussian and radical scalars.
+normal form.  A relation is one lead product ``heads[0]*heads[1]``; both
+kinds of lead are covered, the sphere square ``x0^2 = 1 - x1^2 - ...`` (also
+declared as the descriptor lead ``"x*x"``) and the supersphere product
+``a*ad = 1 - b*bd``, over rational, Gaussian and radical scalars.
 """
 
 import random
@@ -21,6 +22,7 @@ from superalg.scalars import (
     RadicalGaussianRing,
     RationalRing,
     Relation,
+    coeff_ring_from_json,
 )
 from superalg.spheres import sphere_coeff_ring
 
@@ -30,7 +32,15 @@ sympy = pytest.importorskip("sympy")
 def uosp_coeff_ring(base):
     plain = PolyQuotientRing(base, ("a", "ad", "b", "bd"))
     rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
-    return PolyQuotientRing(base, plain.variables, Relation("product", ("a", "ad"), rhs))
+    return PolyQuotientRing(base, plain.variables, Relation(("a", "ad"), rhs))
+
+
+SQUARE_BY_PRODUCT_LEAD = coeff_ring_from_json({
+    "kind": "poly_quotient",
+    "vars": ["y", "x", "z"],
+    "base": {"kind": "rational"},
+    "relation": {"lead": "x*x", "rhs": "1 - y^2 + 2*y*z"},
+})
 
 
 RINGS = [
@@ -41,6 +51,7 @@ RINGS = [
     ("uosp-rational", uosp_coeff_ring(RationalRing())),
     ("uosp-gaussian", uosp_coeff_ring(GaussianRationalRing())),
     ("uosp-radical", uosp_coeff_ring(RadicalGaussianRing())),
+    ("lead-x*x", SQUARE_BY_PRODUCT_LEAD),
 ]
 
 
@@ -78,9 +89,9 @@ def test_normal_form_matches_sympy_reduced(label, ring, seed):
     rng = random.Random(seed)
     gens = sympy.symbols(ring.variables)
     rel = ring.relation
-    head = sympy.Mul(*(gens[ring.variables.index(h)] for h in rel.heads)) ** (2 if rel.form == "square" else 1)
-    divisor = head - to_sympy(ring, ring.monomials(rel.rhs), gens)
-    order = [gens[ring.variables.index(h)] for h in rel.heads] + [g for g in gens if str(g) not in rel.heads]
+    heads = [gens[ring.variables.index(h)] for h in rel.heads]
+    divisor = sympy.Mul(*heads) - to_sympy(ring, ring.monomials(rel.rhs), gens)
+    order = list(dict.fromkeys(heads)) + [g for g in gens if g not in heads]
 
     u_terms, v_terms = random_terms(rng, ring, rng.randint(1, 4)), random_terms(rng, ring, rng.randint(1, 3))
     u, v = (reduce(ring.add, (ring.monomial(e, c) for e, c in terms), ring.zero()) for terms in (u_terms, v_terms))

@@ -111,7 +111,7 @@ def circle_ring():
     base = RationalRing()
     plain = PolyQuotientRing(base, ("x", "y"))
     rhs = plain.sub(plain.one(), plain.mul(plain.var("y"), plain.var("y")))
-    return PolyQuotientRing(base, ("x", "y"), Relation("square", ("x",), rhs))
+    return PolyQuotientRing(base, ("x", "y"), Relation(("x", "x"), rhs))
 
 
 class TestPolyQuotient:
@@ -141,7 +141,7 @@ class TestPolyQuotient:
         base = RationalRing()
         plain = PolyQuotientRing(base, ("a", "ad", "b", "bd"))
         rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
-        r = PolyQuotientRing(base, ("a", "ad", "b", "bd"), Relation("product", ("a", "ad"), rhs))
+        r = PolyQuotientRing(base, ("a", "ad", "b", "bd"), Relation(("a", "ad"), rhs))
         a, ad, b, bd = (r.var(v) for v in ("a", "ad", "b", "bd"))
         assert r.eq(r.mul(a, ad), r.sub(r.one(), r.mul(b, bd)))
         # a^2 ad -> a (1 - b bd)
@@ -163,6 +163,42 @@ class TestPolyQuotient:
         r = circle_ring()
         v = r.add(r.mul(r.var("x"), r.var("y")), r.from_fraction(Fraction(-1, 2)))
         assert "x*y" in r.to_str(v) and "-1/2" in r.to_str(v)
+
+
+def _circle_descriptor(lead):
+    return {
+        "kind": "poly_quotient",
+        "vars": ["x", "y"],
+        "base": {"kind": "rational"},
+        "relation": {"lead": lead, "rhs": "1 - y^2"},
+    }
+
+
+def test_every_square_lead_spelling_gives_the_same_ring():
+    rings = [coeff_ring_from_json(_circle_descriptor(lead)) for lead in ("x", "x*x", ["x", "x"])]
+    assert all(r == circle_ring() and r.relation.heads == ("x", "x") for r in rings)
+    assert {repr(r.to_json()) for r in rings} == {repr(circle_ring().to_json())}
+    for r in rings:
+        x = r.var("x")
+        assert r.to_str(r.mul(x, x)) == "1 + -1*y^2"
+        assert r.to_str(r.mul(x, r.mul(x, x))) == "x + -1*x*y^2"
+
+
+@pytest.mark.parametrize(
+    "heads",
+    [("x",), ("x", "x", "y"), ("x", "z"), "xy", ["x", "y"], ()],
+    ids=["one-name", "three-names", "unknown-name", "string", "list", "empty"],
+)
+def test_relation_heads_must_be_a_pair_of_ring_variables(heads):
+    one = PolyQuotientRing(RationalRing(), ("x", "y")).one()
+    with pytest.raises(DomainError, match="not a pair of ring variables"):
+        PolyQuotientRing(RationalRing(), ("x", "y"), Relation(heads, one))
+
+
+@pytest.mark.parametrize("lead", ["x*y*x", [], ["x", "y", "x"]])
+def test_descriptor_lead_names_at_most_two_factors(lead):
+    with pytest.raises(DomainError, match="'lead' must name one variable or a product of two"):
+        coeff_ring_from_json(_circle_descriptor(lead))
 
 
 @pytest.mark.parametrize(
