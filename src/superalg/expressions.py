@@ -11,10 +11,10 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalars import PolyQuotientRing
+from .scalars import IDENTIFIER, PolyQuotientRing
 from .superring import SuperElement, SuperRing
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()/]))")
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER})|([+\-*^()/]))")
 
 
 def _tokenize(text):

@@ -29,6 +29,7 @@ must already be in their ring's normal form; it only adds them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -519,6 +520,8 @@ class PolyQuotientRing(CoeffRing):
         self._var_pos = {v: i for i, v in enumerate(self.variables)}
         if len(self._var_pos) != len(self.variables):
             raise DomainError(f"ring variables must be distinct, not {list(self.variables)}")
+        if "i" in self._var_pos and base.imaginary_unit() is not None:
+            raise DomainError("ring variable 'i' would read as the imaginary unit of the base ring")
         self.relation = relation
         if relation is not None:
             heads = relation.heads
@@ -688,10 +691,16 @@ def json_mapping(data, what: str, *required: str) -> dict:
     return data
 
 
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"  # a ring variable or odd generator name, in descriptors and expressions
+
+
 def json_names(data, what: str) -> tuple:
-    """``data`` as a tuple if it is a JSON list of strings; ``DomainError`` otherwise."""
+    """``data`` as a tuple if it is a JSON list of :data:`IDENTIFIER` strings; ``DomainError`` otherwise."""
     if not isinstance(data, (list, tuple)) or not all(isinstance(name, str) for name in data):
         raise DomainError(f"{what} must be a list of strings")
+    for name in data:
+        if not re.fullmatch(IDENTIFIER, name):
+            raise DomainError(f"{what}: {name!r} is not a name (a letter or _, then letters, digits or _)")
     return tuple(data)
 
 
@@ -709,9 +718,12 @@ def coeff_ring_from_json(data) -> CoeffRing:
     if kind == "gaussian_rational":
         return GaussianRationalRing()
     if kind == "integer_mod":
-        if not isinstance(data.get("n"), (int, str)):
-            raise DomainError("integer_mod needs an integer modulus 'n'")
-        return IntegerModRing(int(data["n"]))
+        n = data.get("n")
+        if isinstance(n, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", n):
+            n = int(n)
+        if type(n) is not int:
+            raise DomainError(f"integer_mod modulus 'n' must be an integer, not {n!r}")
+        return IntegerModRing(n)
     if kind == "gaussian_radical":
         return RadicalGaussianRing()
     if kind == "poly_quotient":

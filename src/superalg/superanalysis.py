@@ -126,21 +126,6 @@ class Jet:
     def is_zero(self):
         return not self.table
 
-    def to_json(self):
-        return {
-            "arity": self.arity,
-            "order": self.order,
-            "table": {",".join(map(str, k)): self.ring.value_to_json(v) for k, v in self.table},
-        }
-
-    @classmethod
-    def from_json(cls, data, ring, base=None):
-        table = {
-            tuple(int(p) for p in key.split(",")): ring.value_from_json(v)
-            for key, v in data["table"].items()
-        }
-        return cls.from_dict(int(data["arity"]), int(data["order"]), ring, table, base)
-
 
 def continue_analytically(jet: Jet, xs) -> SuperElement:
     """Grassmann analytic continuation: the finite Taylor sum over souls."""

@@ -3,8 +3,11 @@
 Conventions: modules are right modules; a morphism is a matrix with
 columns-are-images, so ``phi(b_j) = sum_i b_i M[i][j]`` and
 ``phi(sum_j b_j c_j) = sum_i b_i (sum_j M[i][j] c_j)``.  A free type (p, q)
-lists its p even basis vectors first, then its q odd ones.  Every sign of
-moving a coefficient past a graded factor is :func:`_koszul`.
+lists its p even basis vectors first, then its q odd ones.  A vector ``x``
+of ``F`` is the one-column matrix of the morphism ``R -> F``, ``1 -> x``
+(:class:`ModElement`), so ``phi.apply(x)`` is ``phi.compose(x)`` and the
+sums, graded parts and tensor products of vectors are those of morphisms.
+Every sign of moving a coefficient past a graded factor is :func:`_koszul`.
 """
 
 from __future__ import annotations
@@ -55,90 +58,7 @@ class FreeType:
         return cls(json_count(data.get("p"), "rank 'p'"), json_count(data.get("q"), "rank 'q'"))
 
 
-class ModElement:
-    """An element of a free supermodule: a coefficient vector over the ring."""
-
-    __slots__ = ("ring", "ftype", "coeffs")
-
-    def __init__(self, ring: SuperRing, ftype: FreeType, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != ftype.size:
-            raise ShapeError(f"expected {ftype.size} coefficients, got {len(coeffs)}")
-        self.ring = ring
-        self.ftype = ftype
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, ring: SuperRing, ftype: FreeType):
-        return cls(ring, ftype, [ring.zero()] * ftype.size)
-
-    @classmethod
-    def basis(cls, ring: SuperRing, ftype: FreeType, index: int):
-        coeffs = [ring.zero()] * ftype.size
-        coeffs[index] = ring.one()
-        return cls(ring, ftype, coeffs)
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError("module elements over different rings")
-        if self.ftype != other.ftype:
-            raise ShapeError("module elements of different types")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModElement(self.ring, self.ftype, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModElement(self.ring, self.ftype, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return ModElement(self.ring, self.ftype, [-a for a in self.coeffs])
-
-    def right_mul(self, a: SuperElement):
-        """The right action ``x * a``."""
-        return ModElement(self.ring, self.ftype, [c * a for c in self.coeffs])
-
-    def left_mul(self, a: SuperElement):
-        """The left action ``a * x`` via ``a x = (-1)**(|x||a|) x a``."""
-        a_parity = a.parity()
-        if a_parity is None:
-            raise ParityError("left action requires a homogeneous scalar")
-        out = []
-        for basis_parity, c in zip(self.ftype.parities, self.coeffs):
-            term = _koszul(c, a_parity) * a
-            out.append(-term if a_parity * basis_parity else term)
-        return ModElement(self.ring, self.ftype, out)
-
-    def parity(self):
-        """0/1 for homogeneous elements (Notation-style (x, y) form), else None."""
-        for parity in (0, 1):
-            if self.homogeneous_part(parity) == self:
-                return parity
-        return None
-
-    def homogeneous_part(self, parity: int):
-        out = []
-        for basis_parity, c in zip(self.ftype.parities, self.coeffs):
-            out.append(c.homogeneous_part((parity + basis_parity) % 2))
-        return ModElement(self.ring, self.ftype, out)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModElement)
-            and self.ring == other.ring
-            and self.ftype == other.ftype
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ftype, tuple(c.key() for c in self.coeffs)))
-
-    def __repr__(self):
-        return "<ModElement [" + ", ".join(c.to_text() for c in self.coeffs) + "]>"
+_UNIT = FreeType(1, 0)  # the ring itself, the source of a vector
 
 
 class SuperMorphism:
@@ -159,9 +79,15 @@ class SuperMorphism:
         self.matrix = matrix
         self._residual = None
 
+    def _like(self, source: FreeType, target: FreeType, matrix) -> "SuperMorphism":
+        """A morphism of ``self``'s class, so that results built from vectors stay vectors."""
+        out = object.__new__(type(self))
+        SuperMorphism.__init__(out, self.ring, source, target, matrix)
+        return out
+
     @classmethod
     def identity(cls, ring: SuperRing, ftype: FreeType):
-        return cls.scalar(ring, ftype, ring.one())
+        return SuperMorphism.scalar(ring, ftype, ring.one())
 
     @classmethod
     def zero(cls, ring: SuperRing, source: FreeType, target: FreeType):
@@ -170,21 +96,17 @@ class SuperMorphism:
     @classmethod
     def scalar(cls, ring: SuperRing, ftype: FreeType, a: SuperElement):
         n = ftype.size
-        return cls(
+        return SuperMorphism(
             ring, ftype, ftype,
             [[a if i == j else ring.zero() for j in range(n)] for i in range(n)],
         )
 
     def apply(self, x: ModElement) -> ModElement:
-        if x.ftype != self.source:
-            raise ShapeError("element type does not match morphism source")
-        if x.ring != self.ring:
-            raise RingMismatchError("element over a different ring")
-        out = [self.ring.sum(entry * c for entry, c in zip(row, x.coeffs)) for row in self.matrix]
-        return ModElement(self.ring, self.target, out)
+        """``self(x)``: a vector is the morphism ``1 -> x``, so this is ``self`` after ``x``."""
+        return self.compose(x)
 
     def compose(self, other: "SuperMorphism") -> "SuperMorphism":
-        """``self`` after ``other``."""
+        """``self`` after ``other``, of ``other``'s class."""
         if other.target != self.source:
             raise ShapeError("composition shape mismatch")
         if other.ring != self.ring:
@@ -194,13 +116,13 @@ class SuperMorphism:
             [self.ring.sum(a * b for a, b in zip(row, column)) for column in columns]
             for row in self.matrix
         ]
-        return SuperMorphism(self.ring, other.source, self.target, rows)
+        return other._like(other.source, self.target, rows)
 
     def __add__(self, other):
         if (self.source, self.target) != (other.source, other.target):
             raise ShapeError("morphism addition shape mismatch")
-        return SuperMorphism(
-            self.ring, self.source, self.target,
+        return self._like(
+            self.source, self.target,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)],
         )
 
@@ -208,10 +130,7 @@ class SuperMorphism:
         return self + (-other)
 
     def __neg__(self):
-        return SuperMorphism(
-            self.ring, self.source, self.target,
-            [[-a for a in row] for row in self.matrix],
-        )
+        return self._like(self.source, self.target, [[-a for a in row] for row in self.matrix])
 
     def __eq__(self, other):
         return (
@@ -232,7 +151,10 @@ class SuperMorphism:
             [entry.homogeneous_part((degree + tgt[i] + src[j]) % 2) for j, entry in enumerate(row)]
             for i, row in enumerate(self.matrix)
         ]
-        return SuperMorphism(self.ring, self.source, self.target, rows)
+        return self._like(self.source, self.target, rows)
+
+    def is_zero(self) -> bool:
+        return all(entry.is_zero() for row in self.matrix for entry in row)
 
     def degree(self):
         """0 or 1 if homogeneous per the matrix parity contract, else None."""
@@ -303,23 +225,72 @@ class SuperMorphism:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise DomainError("'matrix' must be a list of rows")
         matrix = [[SuperElement.terms_from_json(ring, entry) for entry in row] for row in rows]
-        return cls(ring, source, target, matrix)
+        return SuperMorphism(ring, source, target, matrix)
 
     def __repr__(self):
         return f"<SuperMorphism {self.target.size}x{self.source.size}>"
 
 
+class ModElement(SuperMorphism):
+    """A vector ``x`` of a free supermodule ``F``: the one-column morphism ``R -> F``, ``1 -> x``."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: SuperRing, ftype: FreeType, coeffs):
+        super().__init__(ring, _UNIT, ftype, [(c,) for c in coeffs])
+
+    @classmethod
+    def zero(cls, ring: SuperRing, ftype: FreeType):
+        return cls(ring, ftype, [ring.zero()] * ftype.size)
+
+    @classmethod
+    def basis(cls, ring: SuperRing, ftype: FreeType, index: int):
+        coeffs = [ring.zero()] * ftype.size
+        coeffs[index] = ring.one()
+        return cls(ring, ftype, coeffs)
+
+    @property
+    def ftype(self) -> FreeType:
+        return self.target
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(row[0] for row in self.matrix)
+
+    def right_mul(self, a: SuperElement):
+        """The right action ``x * a``."""
+        return ModElement(self.ring, self.ftype, [c * a for c in self.coeffs])
+
+    def left_mul(self, a: SuperElement):
+        """The left action ``a * x`` via ``a x = (-1)**(|x||a|) x a``."""
+        a_parity = a.parity()
+        if a_parity is None:
+            raise ParityError("left action requires a homogeneous scalar")
+        out = []
+        for basis_parity, c in zip(self.ftype.parities, self.coeffs):
+            term = _koszul(c, a_parity) * a
+            out.append(-term if a_parity * basis_parity else term)
+        return ModElement(self.ring, self.ftype, out)
+
+    def parity(self):
+        """0/1 for homogeneous elements (Notation-style (x, y) form), else None."""
+        return self.degree()
+
+    def __repr__(self):
+        return "<ModElement [" + ", ".join(c.to_text() for c in self.coeffs) + "]>"
+
+
 def extend_basis_map(ring: SuperRing, source: FreeType, images) -> SuperMorphism:
-    """The unique right-linear morphism sending basis vector k to ``images[k]``."""
+    """The unique right-linear morphism sending basis vector k to ``images[k]``: the images side by side."""
     images = list(images)
     if len(images) != source.size:
         raise ShapeError(f"expected {source.size} images, got {len(images)}")
+    if not images:
+        raise ShapeError("a map with no images has no target type")
     target = images[0].ftype
-    for img in images:
-        if img.ftype != target:
-            raise ShapeError("images must share a target type")
-    matrix = [[images[j].coeffs[i] for j in range(source.size)] for i in range(target.size)]
-    return SuperMorphism(ring, source, target, matrix)
+    if any(img.ftype != target for img in images):
+        raise ShapeError("images must share a target type")
+    return SuperMorphism(ring, source, target, zip(*(img.coeffs for img in images)))
 
 
 def left_evaluate(phi: SuperMorphism, a: SuperElement, x: ModElement) -> ModElement:
@@ -427,12 +398,9 @@ def tensor_basis(t1: FreeType, t2: FreeType):
 
 
 def tensor_elements(x: ModElement, y: ModElement) -> ModElement:
-    """``x (x) y`` with the Koszul sign for moving coefficients past basis vectors."""
-    if x.ring != y.ring:
-        raise RingMismatchError("elements over different rings")
-    p2 = y.ftype.parities
-    coeffs = [_koszul(x.coeffs[i], p2[j]) * y.coeffs[j] for i, j in tensor_basis(x.ftype, y.ftype)]
-    return ModElement(x.ring, x.ftype.tensor(y.ftype), coeffs)
+    """``x (x) y``: the one column of ``x (x) y`` taken as morphisms ``R -> F``."""
+    column = tensor_morphisms(x, y)
+    return ModElement(column.ring, column.target, [row[0] for row in column.matrix])
 
 
 def tensor_morphisms(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:

@@ -93,6 +93,8 @@ class SuperRing:
         for name in odd_names:
             if name in coeff.variables:
                 raise DomainError(f"generator {name!r} is both odd and even")
+        if "i" in odd_names and coeff.imaginary_unit() is not None:
+            raise DomainError("odd generator 'i' would read as the imaginary unit of the coefficient ring")
         self.coeff = coeff
         self.odd_names = odd_names
         self._odd_pos = {name: i for i, name in enumerate(odd_names)}

@@ -242,11 +242,35 @@ def _constant_rhs_descriptor(base_kind, c):
             "generator 'x' is both odd and even",
         ),
         ("x0", _constant_rhs_descriptor("rational", "1/0"), "coefficient '1/0' is not a rational number"),
+        (
+            "i*i",
+            {"coeffs": {"kind": "gaussian_rational"}, "odd_generators": ["i"]},
+            "odd generator 'i' would read as the imaginary unit",
+        ),
+        (
+            "i*i",
+            {"coeffs": {"kind": "poly_quotient", "vars": ["i"], "base": {"kind": "gaussian_rational"}}},
+            "ring variable 'i' would read as the imaginary unit",
+        ),
+        ("1", {"coeffs": {"kind": "integer_mod", "n": "abc"}}, "modulus 'n' must be an integer, not 'abc'"),
+        (
+            "1",
+            {"coeffs": {"kind": "poly_quotient", "vars": ["x y"], "base": {"kind": "rational"}}},
+            "'vars': 'x y' is not a name",
+        ),
+        (
+            "1",
+            {"coeffs": {"kind": "poly_quotient", "vars": ["1"], "base": {"kind": "rational"}}},
+            "'vars': '1' is not a name",
+        ),
+        ("1", {"coeffs": {"kind": "rational"}, "odd_generators": [""]}, "'odd_generators': '' is not a name"),
     ],
     ids=[
         "odd-paired-twice", "even-paired-twice", "relation-not-preserved", "odd-unpaired",
         "relation-without-rhs", "gaussian-without-im", "radical-without-rad", "radical-without-re",
-        "duplicate-variables", "odd-and-even-name", "zero-denominator",
+        "duplicate-variables", "odd-and-even-name", "zero-denominator", "odd-i-over-gaussian",
+        "variable-i-over-gaussian", "modulus-not-an-integer", "variable-with-space", "variable-a-number",
+        "empty-generator-name",
     ],
 )
 def test_eval_rejected_ring_descriptor_names_the_problem(capsys, tmp_path, expression, descriptor, message):

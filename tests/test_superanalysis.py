@@ -103,11 +103,6 @@ class TestJets:
         with pytest.raises(ParityError):
             continue_analytically(f, [ring.odd_gen_at(1)])
 
-    def test_json_round_trip(self):
-        f = poly_jet([Fraction(1), Fraction(1, 2)], Fraction(0))
-        data = f.to_json()
-        assert Jet.from_json(data, RR, base=(Fraction(0),)) == f
-
 
     def test_jet_over_radical_quotient_ring_is_hashable(self):
         coeff = make_uosp_ring().coeff

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from superalg.errors import DomainError, ShapeError
 from superalg.spheres import make_sphere_projector, z6_ring
-from superalg.suites import random_element, random_homogeneous
+from superalg.suites import featured_rings, random_element, random_homogeneous
 from superalg.supermodule import (
     FreeType,
     ModElement,
@@ -69,8 +69,7 @@ def test_composition_degree_additive(seed):
     phi = rand_morphism(rng, RING, b, c).grade_split()[rng.randint(0, 1)]
     composed = phi.compose(psi)
     dphi, dpsi = phi.degree(), psi.degree()
-    zero = all(e.is_zero() for row in composed.matrix for e in row)
-    if dphi is None or dpsi is None or zero:
+    if dphi is None or dpsi is None or composed.is_zero():
         return
     assert composed.degree() == (dphi + dpsi) % 2
 
@@ -110,6 +109,60 @@ def test_extend_basis_map(seed):
         assert phi.apply(ModElement.basis(RING, source, k)) == images[k]
     with pytest.raises(ShapeError):
         extend_basis_map(RING, source, images[:-1])
+    with pytest.raises(ShapeError):
+        extend_basis_map(RING, FreeType(0, 0), [])
+
+
+def _flip_odd(c):
+    """``c`` moved past an odd factor, written out: its odd part changes sign."""
+    return c.homogeneous_part(0) - c.homogeneous_part(1)
+
+
+def _entry_parity(x):
+    """The parity of ``x`` read off its entries: 0 for zero, None if mixed."""
+    found = {
+        (part + bp) % 2
+        for bp, c in zip(x.ftype.parities, x.coeffs)
+        for part in (0, 1)
+        if not c.homogeneous_part(part).is_zero()
+    }
+    return found.pop() if len(found) == 1 else (None if found else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from([ring for _, ring in featured_rings()]))
+def test_vectors_stay_vectors(seed, ring):
+    """Every operation on vectors returns a ``ModElement`` whose entries follow the entrywise formulas."""
+    rng = random.Random(seed)
+    t, u = (FreeType(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(2))
+    x, y = rand_vector(rng, ring, t), rand_vector(rng, ring, t)
+    phi = rand_morphism(rng, ring, t, u)
+    pa = rng.randint(0, 1)
+    a = random_homogeneous(rng, ring, pa)
+    xs, ys, par = x.coeffs, y.coeffs, t.parities
+    expected = {
+        "x + y": (x + y, [c + d for c, d in zip(xs, ys)]),
+        "x - y": (x - y, [c - d for c, d in zip(xs, ys)]),
+        "-x": (-x, [-c for c in xs]),
+        "x_0": (x.homogeneous_part(0), [c.homogeneous_part(bp) for bp, c in zip(par, xs)]),
+        "x_1": (x.homogeneous_part(1), [c.homogeneous_part(1 - bp) for bp, c in zip(par, xs)]),
+        "phi(x)": (phi.apply(x), [ring.sum(e * c for e, c in zip(row, xs)) for row in phi.matrix]),
+        "x a": (x.right_mul(a), [c * a for c in xs]),
+        "a x": (x.left_mul(a), [
+            (-1) ** (pa * bp) * ((_flip_odd(c) if pa else c) * a) for bp, c in zip(par, xs)
+        ]),
+        "x (x) y": (tensor_elements(x, y), [
+            (_flip_odd(xs[i]) if par[j] else xs[i]) * ys[j] for i, j in tensor_basis(t, t)
+        ]),
+    }
+    for label, (result, coeffs) in expected.items():
+        assert type(result) is ModElement, label
+        assert result.coeffs == tuple(coeffs), label
+    for v in (x, x.homogeneous_part(0), x.homogeneous_part(1), x.left_mul(a)):
+        assert v.parity() == _entry_parity(v)
+    column = SuperMorphism(ring, FreeType(1, 0), t, [[c] for c in xs])
+    assert x == column and column == x
+    assert (x == y) == (xs == ys)
 
 
 def test_left_action_four_term_oracle():
