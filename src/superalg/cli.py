@@ -12,6 +12,7 @@ size option below 1 and input nested too deeply to read).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -131,9 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process: parse_args keeps no state
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

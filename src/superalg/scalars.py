@@ -12,11 +12,12 @@ ring reads as a polynomial ring in no variables over itself: no
 at most one term, with the empty exponent tuple.  ``imaginary_unit`` is
 ``None`` where the ring has no ``i``.
 
-Ring values are plain data (``Fraction``, ``GaussianRational``, ``int``,
-radical dicts, ``PolyValue``); all operations go through the ring object,
-which owns the normal form.  A ``GaussianRational`` is a reduced integer
-triple ``(a + b*i)/d``, so Gaussian and radical arithmetic builds no
-``Fraction``.  Every value is falsy exactly when it is zero (``PolyValue``
+Ring values are plain data (``int`` or ``Fraction`` for a rational: an
+integral rational is stored as its ``int`` numerator; ``GaussianRational``;
+``int`` mod n; radical dicts; ``PolyValue``); all operations go through the
+ring object, which owns the normal form.  A ``GaussianRational`` is a
+reduced integer triple ``(a + b*i)/d``, so Gaussian and radical arithmetic
+builds no ``Fraction``.  Every value is falsy exactly when it is zero (``PolyValue``
 aside), which is the zero test.  A ring's identity is ``repr(to_json())``,
 built once per ring object; ``==`` on rings compares it after an ``is`` test.
 
@@ -270,32 +271,46 @@ class CoeffRing:
         return hash(self._identity())
 
 
+def _rational(fr):
+    """A rational value in its stored form: the numerator when integral."""
+    return fr.numerator if fr.denominator == 1 else fr
+
+
 class RationalRing(CoeffRing):
+    """Rationals; an integral value is stored as an ``int``, any other as a ``Fraction``.
+
+    ``int`` arithmetic builds no ``Fraction``, and ``Fraction(3) == 3`` with
+    equal hashes, so the stored form changes neither ``==``, ``hash``, the
+    text nor the JSON.  Every operation returns the stored form.
+    """
+
     kind = "rational"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def from_fraction(self, fr):
-        return Fraction(fr)
+        return _rational(Fraction(fr))
 
     def add(self, u, v):
-        return u + v
+        w = u + v
+        return w.numerator if w.denominator == 1 else w  # _rational, inlined on the hot path
 
     def neg(self, u):
         return -u
 
     def mul(self, u, v):
-        return u * v
+        w = u * v
+        return w.numerator if w.denominator == 1 else w
 
     def div(self, u, v):
-        return u / v
+        return _rational(Fraction(u, v))  # u / v would be a float for two ints
 
     def value_to_json(self, u):
         return str(u)
 
     def value_from_json(self, data):
-        return _parse_fraction(data)
+        return _rational(_parse_fraction(data))
 
     def to_json(self):
         return {"kind": "rational"}

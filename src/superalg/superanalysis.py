@@ -296,7 +296,10 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
 
     Solves ``x_lam = (z_lam - sum over proper partitions mu|nu of lam of
     sign(mu,nu) x_mu x_nu) / (2 x_0)`` in increasing index length; the result
-    is verified by squaring.
+    is verified by squaring.  Only even ``mu, nu`` carry a coefficient, and
+    for those ``x_mu x_nu = x_nu x_mu``, so each unordered partition is
+    visited once, with ``mu`` holding the lowest bit of ``lam``, and the sum
+    is doubled.
     """
     ring = z.ring
     coeff = ring.coeff
@@ -323,20 +326,23 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
     )
     coeffs = {0: root0}
     for lam in masks:
-        acc = z.terms.get(lam, coeff.zero())
-        # Subtract contributions of proper partitions mu | nu = lam.
-        mu = (lam - 1) & lam
-        while mu:
-            nu = lam ^ mu
+        low = lam & -lam
+        rest = lam ^ low
+        half = coeff.zero()
+        # Sum over partitions mu | nu = lam with low in mu and nu nonzero:
+        # mu = low | sub for the proper submasks sub of rest.
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            mu, nu = low | sub, rest ^ sub
             xmu = coeffs.get(mu)
             xnu = coeffs.get(nu)
             if xmu is not None and xnu is not None:
-                _, sign = mi.merge_bits(mu, nu)
                 term = coeff.mul(xmu, xnu)
-                if sign < 0:
+                if (mi.sign_mask(mu) & nu).bit_count() & 1:
                     term = coeff.neg(term)
-                acc = coeff.sub(acc, term)
-            mu = (mu - 1) & lam
+                half = coeff.add(half, term)
+        acc = coeff.sub(z.terms.get(lam, coeff.zero()), coeff.add(half, half))
         value = coeff.div(acc, double)
         if not coeff.is_zero(value):
             coeffs[lam] = value
@@ -375,7 +381,7 @@ def supercircle_chart(y: SuperElement, branch: str = "+") -> SuperPoint:
         raise DomainError("branch must be '+' or '-'")
     ring = y.ring
     body = y.body()
-    if not isinstance(body, Fraction):
+    if not isinstance(ring.coeff, RationalRing):
         raise DomainError("supercircle charts require rational bodies")
     if not (-1 < body < 1):
         raise DomainError("body of y must lie in (-1, 1)")

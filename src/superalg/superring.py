@@ -12,8 +12,10 @@ always have grade 0; the parity of a term is the parity of its odd monomial.
 Each element-layer rule is written once.  Sums go through
 :func:`~superalg.scalars.collect`: :meth:`SuperRing.sum` for any number of
 elements, and ``+`` as its two-element case.  The sign of a product of odd
-monomials is :func:`~superalg.multiindex.merge_bits`, for ``*`` and for the
-involution alike.  :meth:`SuperElement.scale` multiplies coefficients.
+monomials is the parity mask of :func:`~superalg.multiindex.sign_mask`:
+``*`` applies it inline, one mask per left term, and the involution through
+:func:`~superalg.multiindex.merge_bits`.  :meth:`SuperElement.scale`
+multiplies coefficients.
 """
 
 from __future__ import annotations
@@ -282,16 +284,19 @@ class SuperElement:
             return self.scale(Fraction(other))
         self._check(other)
         coeff = self.ring.coeff
+        mul, neg = coeff.mul, coeff.neg
+        right = other.terms.items()
 
         def products():
+            # merge_bits inlined: one sign mask per left term, then one AND and
+            # one popcount per pair.
             for b1, c1 in self.terms.items():
-                for b2, c2 in other.terms.items():
-                    merged = mi.merge_bits(b1, b2)
-                    if merged is None:
+                mask = mi.sign_mask(b1)
+                for b2, c2 in right:
+                    if b1 & b2:
                         continue
-                    bits, sign = merged
-                    c = coeff.mul(c1, c2)
-                    yield bits, (c if sign > 0 else coeff.neg(c))
+                    c = mul(c1, c2)
+                    yield b1 | b2, (neg(c) if (mask & b2).bit_count() & 1 else c)
 
         return SuperElement(self.ring, collect(coeff, products()))
 
@@ -312,12 +317,13 @@ class SuperElement:
             raise DomainError("negative powers are not defined")
         result = self.ring.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # squared only while higher bits remain
 
     def __eq__(self, other):
         return (

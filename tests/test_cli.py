@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superalg
 from superalg.cli import main
 from superalg.landi import projector_p
 from superalg.scalars import GaussianRationalRing
@@ -417,3 +423,44 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path):
     path.write_text("[" * 100_000)
     _expect_one_error_line(capsys, "certify", str(path))
     _expect_one_error_line(capsys, "eval", "1", "--ring", str(path))
+
+
+def _untimed(text):
+    return re.sub(r"clauses, \d+\.\d+s\)", "clauses, #s)", text)
+
+
+def _run_alone(argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(superalg.__file__).parent.parent))
+    code = "import sys; from superalg.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    return done.returncode, _untimed(done.stdout), done.stderr
+
+
+def test_calls_in_one_process_match_calls_alone(capsys, tmp_path, grassmann_ring_file):
+    """The parser is built once per process; each call still reads only its own arguments."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(make_sphere_projector(1).g.to_json()))
+    calls = [
+        ["verify", "z6"],
+        ["verify", "nonsense"],
+        ["eval", "1/2 + b1*b2", "--ring", grassmann_ring_file],
+        ["certify", str(path)],
+    ]
+    in_sequence = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_sequence.append((code, _untimed(captured.out), captured.err))
+    assert [code for code, _, _ in in_sequence] == [0, 2, 0, 0]
+    assert in_sequence == [_run_alone(argv) for argv in calls]
+
+
+def test_eval_division_by_zero_exit_two(capsys, grassmann_ring_file):
+    code, out, err = run(capsys, "eval", "1/0", "--ring", grassmann_ring_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:")

@@ -236,3 +236,35 @@ def test_rational_ring_is_exact(a, b, c):
     assert r.mul(u, r.add(v, w)) == r.add(r.mul(u, v), r.mul(u, w))
     if not r.is_zero(v):
         assert r.mul(r.div(u, v), v) == u
+
+
+def _stored_rational(u):
+    """An ``int``, or a ``Fraction`` that is not integral: never a float."""
+    return type(u) is int or (type(u) is Fraction and u.denominator != 1)
+
+
+rational_inputs = st.one_of(st.integers(min_value=-50, max_value=50), fractions)
+
+
+@given(rational_inputs, rational_inputs)
+def test_rational_values_are_ints_or_proper_fractions(p, q):
+    ring = RationalRing()
+    u, v = ring.from_fraction(p), ring.from_fraction(q)
+    results = {
+        "from_fraction": (u, Fraction(p)),
+        "add": (ring.add(u, v), Fraction(p) + q),
+        "sub": (ring.sub(u, v), Fraction(p) - q),
+        "neg": (ring.neg(u), -Fraction(p)),
+        "mul": (ring.mul(u, v), Fraction(p) * q),
+        "value_from_json": (ring.value_from_json(str(p)), Fraction(p)),
+    }
+    if q:
+        results["div"] = (ring.div(u, v), Fraction(p) / q)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            ring.div(u, v)
+    for name, (value, expected) in results.items():
+        assert _stored_rational(value), (name, value)
+        assert value == expected and hash(value) == hash(expected)
+        assert ring.to_str(value) == str(expected)
+        assert ring.value_to_json(value) == str(expected)

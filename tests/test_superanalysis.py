@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from superalg.errors import DomainError, ParityError
 from superalg.landi import make_uosp_ring
-from superalg.scalars import RationalRing
+from superalg.scalars import GaussianRational, GaussianRationalRing, RationalRing
 from superalg.suites import PYTHAGOREAN, random_even_soul
 from superalg.superanalysis import (
     Jet,
@@ -316,3 +316,42 @@ class TestSupercircle:
         c, s = super_cos(soul), super_sin(soul)
         tx, ty = circle_tangent(SuperPoint((c, s), ()), ring.one())
         assert tx == -s and ty == c
+
+
+def _dense_even_soul(rng, ring, value):
+    """A soul with a nonzero ``value(rng)`` at every even mask of length at least 2."""
+    return ring.element({b: value(rng) for b in range(1, 1 << ring.odd_count) if b.bit_count() % 2 == 0})
+
+
+def _rational_value(rng):
+    return RationalRing().from_fraction(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)))
+
+
+def _gaussian_value(rng):
+    return GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("L", [6, 7, 8, 9])
+@pytest.mark.parametrize(
+    "coeff, value, root0",
+    [
+        (RationalRing(), _rational_value, Fraction(3, 2)),
+        (GaussianRationalRing(), _gaussian_value, GaussianRational(2, 1)),
+    ],
+    ids=["rational", "gaussian"],
+)
+def test_sqrt_even_matches_binomial_on_dense_elements(L, coeff, value, root0):
+    rng = random.Random(L)
+    ring = grassmann_ring(L, coeff)
+    body = ring.from_coeff(coeff.mul(root0, root0))
+    z = body + _dense_even_soul(rng, ring, value)
+    assert sqrt_even(z, root0) == sqrt_even_binomial(z, root0)
+    # Roots with zero coefficients inside the closure of the support: every
+    # third mask of a dense root dropped, and a single top-length soul.
+    dense = _dense_even_soul(rng, ring, value).terms
+    holes = ring.element({b: c for i, (b, c) in enumerate(sorted(dense.items())) if i % 3})
+    top = (1 << (L - L % 2)) - 1
+    for soul in (holes, ring.element({top: value(rng)})):
+        x = ring.from_coeff(root0) + soul
+        z = x * x
+        assert sqrt_even(z, root0) == x == sqrt_even_binomial(z, root0)

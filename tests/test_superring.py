@@ -76,6 +76,29 @@ def test_powers_and_nilpotency():
         x ** -1
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    """``x ** n`` makes one product per set bit and one squaring per bit below the top."""
+    ring = grassmann_ring(6)
+    b = ring.odd_gen_at
+    x = ring.from_fraction(2) + b(1) * b(2) - b(2) * b(3) + b(3) * b(4) * b(5) * b(6) + b(5)
+    multiply = SuperElement.__mul__
+    calls = 0
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(SuperElement, "__mul__", counting)
+    expected = ring.one()
+    for n in range(1, 10):
+        calls = 0
+        power = x ** n
+        assert calls == n.bit_count() + n.bit_length() - 1, n
+        expected = multiply(expected, x)
+        assert power == expected
+
+
 @pytest.mark.parametrize("index", [0, 3])
 def test_odd_gen_at_rejects_out_of_range_index(index):
     with pytest.raises(DomainError, match="outside 1..2"):
