@@ -17,9 +17,11 @@ integral rational is stored as its ``int`` numerator; ``GaussianRational``;
 ``int`` mod n; radical dicts; ``PolyValue``); all operations go through the
 ring object, which owns the normal form.  A ``GaussianRational`` is a
 reduced integer triple ``(a + b*i)/d``, so Gaussian and radical arithmetic
-builds no ``Fraction``.  Every value is falsy exactly when it is zero (``PolyValue``
-aside), which is the zero test.  A ring's identity is ``repr(to_json())``,
-built once per ring object; ``==`` on rings compares it after an ``is`` test.
+builds no ``Fraction``.  Every value is falsy exactly when it is zero, which
+is the zero test.  A sparse value hashes by its support and is put in order
+only where it is printed, serialized or listed by ``monomials``.  A ring's
+identity is ``repr(to_json())``, built once per ring object; ``==`` on rings
+compares it after an ``is`` test.
 
 Every sparse sum in the package -- radical values, quotient polynomials,
 super ring elements and jets -- is formed by :func:`collect`, which is also
@@ -42,13 +44,14 @@ def collect(ring, pairs) -> dict:
     """Sum ``(key, value)`` pairs per key over ``ring``; zero sums are dropped.
 
     The first value seen for a key is stored as it is, so every value must
-    already be in normal form.  Zeros are tested once per key, at the end.
+    already be in normal form.  Zeros, which are falsy, are dropped once per
+    key, at the end.
     """
     out = {}
     for key, value in pairs:
         acc = out.get(key)
         out[key] = value if acc is None else ring.add(acc, value)
-    return {key: value for key, value in out.items() if not ring.is_zero(value)}
+    return {key: value for key, value in out.items() if value}
 
 
 def _parse_fraction(text) -> Fraction:
@@ -163,10 +166,13 @@ def _gaussian(a, b, d):
     return _reduced(a, b, d)
 
 
+MAX_RADICAND = 2**32  # trial division to sqrt(n) then takes at most 65,536 steps
+
+
 def squarefree_split(n: int):
     """Write ``n = m*m*s`` with ``s`` squarefree; returns ``(m, s)``."""
-    if n <= 0:
-        raise DomainError("radicands must be positive integers")
+    if not 0 < n <= MAX_RADICAND:
+        raise DomainError(f"radicand {n} is outside 1..{MAX_RADICAND}")
     m, s = 1, 1
     d = 2
     while d * d <= n:
@@ -213,8 +219,8 @@ class CoeffRing:
         raise DomainError(f"{name!r} is not a variable of the ring")
 
     def monomials(self, u):
-        """``u`` as ``(exponents, base scalar)`` pairs."""
-        return () if self.is_zero(u) else (((), u),)
+        """``u`` as a tuple of ``(exponents, base scalar)`` pairs, in exponent order."""
+        return (((), u),) if u else ()
 
     def monomial(self, exps, c):
         """The value ``c`` times the monomial with exponents ``exps``."""
@@ -235,14 +241,11 @@ class CoeffRing:
     def eq(self, u, v):
         return u == v
 
-    def is_zero(self, u):
+    def is_nilpotent(self, u):
+        """Whether some power of ``u`` is zero; in a ring without zero divisors only zero is."""
         return not u
 
     def conj(self, u):
-        return u
-
-    def key(self, u):
-        """Hashable canonical form of a value."""
         return u
 
     def to_str(self, u):
@@ -387,6 +390,10 @@ class IntegerModRing(CoeffRing):
     def mul(self, u, v):
         return (u * v) % self.n
 
+    def is_nilpotent(self, u):
+        # Nilpotent iff every prime of n divides u; no prime occurs bit_length(n) times in n.
+        return pow(u, self.n.bit_length(), self.n) == 0
+
     def value_to_json(self, u):
         return u
 
@@ -447,9 +454,6 @@ class RadicalGaussianRing(CoeffRing):
     def conj(self, u):
         return {s: c.conj() for s, c in u.items()}
 
-    def key(self, u):
-        return tuple(sorted((s, c.a, c.b, c.d) for s, c in u.items()))
-
     def to_str(self, u):
         if not u:
             return "0"
@@ -494,20 +498,20 @@ def _coeff_str(base, c):
 
 @dataclass(frozen=True)
 class PolyValue:
-    """A polynomial in normal form: map from exponent tuples to base scalars."""
+    """A polynomial in normal form: the dict :func:`collect` returns, from exponent
+    tuples to nonzero base scalars, in no particular order and never changed."""
 
-    coeffs: tuple  # sorted tuple of (exponents, scalar) pairs
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(sorted(d.items(), key=lambda kv: kv[0])))
+    terms: dict
 
     def __eq__(self, other):
-        return isinstance(other, PolyValue) and self.coeffs == other.coeffs
+        return isinstance(other, PolyValue) and self.terms == other.terms
 
     def __hash__(self):
         # Scalars such as radical dicts are unhashable; equal values share exponents.
-        return hash(tuple(exps for exps, _ in self.coeffs))
+        return hash(frozenset(self.terms))
+
+    def __bool__(self):
+        return bool(self.terms)
 
 
 @dataclass(frozen=True)
@@ -543,7 +547,7 @@ class PolyQuotientRing(CoeffRing):
             if not isinstance(heads, tuple) or len(heads) != 2 or not all(h in self._var_pos for h in heads):
                 raise DomainError(f"relation heads {heads!r} are not a pair of ring variables")
             self._heads = tuple(self._var_pos[h] for h in heads)
-            for exps, _ in relation.rhs.coeffs:
+            for exps in relation.rhs.terms:
                 if any(exps[i] for i in self._heads):
                     raise DomainError("relation right-hand side must not mention its head variables")
             self._rhs_powers = [self.one(), relation.rhs]
@@ -551,15 +555,13 @@ class PolyQuotientRing(CoeffRing):
     # -- construction -----------------------------------------------------
 
     def zero(self):
-        return PolyValue(())
+        return PolyValue({})
 
     def from_fraction(self, fr):
         return self.from_scalar(self.base.from_fraction(fr))
 
     def from_scalar(self, c):
-        if self.base.is_zero(c):
-            return self.zero()
-        return PolyValue(((tuple([0] * len(self.variables)), c),))
+        return PolyValue({(0,) * len(self.variables): c} if c else {})
 
     def imaginary_unit(self):
         i = self.base.imaginary_unit()
@@ -568,13 +570,13 @@ class PolyQuotientRing(CoeffRing):
     def var(self, name):
         if name not in self._var_pos:
             return super().var(name)
-        return PolyValue(((tuple(int(v == name) for v in self.variables), self.base.one()),))
+        return PolyValue({tuple(int(v == name) for v in self.variables): self.base.one()})
 
     def monomials(self, u: PolyValue):
-        return u.coeffs
+        return tuple(sorted(u.terms.items()))
 
     def monomial(self, exps, c):
-        return self.normal_form_dict({tuple(exps): c})
+        return self.normal_form_dict([(tuple(exps), c)])
 
     # -- normal form -------------------------------------------------------
 
@@ -593,56 +595,50 @@ class PolyQuotientRing(CoeffRing):
         exps = list(exps)
         exps[i] -= k
         exps[j] -= k
-        for rexp, rc in self._rhs_power(k).coeffs:
+        for rexp, rc in self._rhs_power(k).terms.items():
             yield tuple(a + b for a, b in zip(exps, rexp)), self.base.mul(c, rc)
 
-    def normal_form_dict(self, d):
-        terms = d.items()
+    def normal_form_dict(self, terms):
+        """The normal form of the sum of ``(exponents, scalar)`` pairs, in one :func:`collect` pass."""
         if self.relation is not None:
             terms = chain.from_iterable(self._reduce_monomial(e, c) for e, c in terms)
-        return PolyValue.from_dict(collect(self.base, terms))
+        return PolyValue(collect(self.base, terms))
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, u: PolyValue, v: PolyValue):
-        return PolyValue.from_dict(collect(self.base, chain(u.coeffs, v.coeffs)))
+        return PolyValue(collect(self.base, chain(u.terms.items(), v.terms.items())))
 
     def neg(self, u: PolyValue):
-        return PolyValue(tuple((e, self.base.neg(c)) for e, c in u.coeffs))
+        return PolyValue({e: self.base.neg(c) for e, c in u.terms.items()})
 
     def mul(self, u: PolyValue, v: PolyValue):
         products = (
             (tuple(a + b for a, b in zip(e1, e2)), self.base.mul(c1, c2))
-            for e1, c1 in u.coeffs
-            for e2, c2 in v.coeffs
+            for e1, c1 in u.terms.items()
+            for e2, c2 in v.terms.items()
         )
-        return self.normal_form_dict(collect(self.base, products))
-
-    def is_zero(self, u: PolyValue):
-        return not u.coeffs
+        return self.normal_form_dict(products)
 
     def conj(self, u: PolyValue):
-        return PolyValue(tuple((e, self.base.conj(c)) for e, c in u.coeffs))
+        return PolyValue({e: self.base.conj(c) for e, c in u.terms.items()})
 
     def substitute_vars(self, u: PolyValue, mapping):
         """Rename variables per ``mapping`` (a permutation of variable names)."""
         perm = [self._var_pos[mapping.get(v, v)] for v in self.variables]
         out = {}
-        for exps, c in u.coeffs:
+        for exps, c in u.terms.items():
             new = [0] * len(exps)
             for src, dst in enumerate(perm):
                 new[dst] = exps[src]
             out[tuple(new)] = c
-        return self.normal_form_dict(out)
-
-    def key(self, u: PolyValue):
-        return tuple((e, self.base.key(c)) for e, c in u.coeffs)
+        return self.normal_form_dict(out.items())
 
     def to_str(self, u: PolyValue):
-        if not u.coeffs:
+        if not u:
             return "0"
         parts = []
-        for exps, c in sorted(u.coeffs, key=lambda kv: (sum(kv[0]), kv[0])):
+        for exps, c in sorted(u.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
             factors = []
             for v, e in zip(self.variables, exps):
                 if e == 1:
@@ -661,7 +657,7 @@ class PolyQuotientRing(CoeffRing):
     def value_to_json(self, u: PolyValue):
         return [
             {"exps": {v: e for v, e in zip(self.variables, exps) if e}, "c": self.base.value_to_json(c)}
-            for exps, c in u.coeffs
+            for exps, c in self.monomials(u)
         ]
 
     def value_from_json(self, data):
@@ -681,7 +677,7 @@ class PolyQuotientRing(CoeffRing):
                     exps[self._var_pos[v]] = json_count(e, f"the exponent of {v}")
                 yield tuple(exps), self.base.value_from_json(item["c"])
 
-        return self.normal_form_dict(collect(self.base, terms()))
+        return self.normal_form_dict(terms())
 
     def to_json(self):
         rel = None

@@ -24,7 +24,6 @@ from .supermodule import (
     SuperMorphism,
     end_projector,
     extend_basis_map,
-    hom_basis_units,
     left_evaluate,
     lift_through_split_surjection,
     section_splitting,
@@ -342,7 +341,10 @@ def suite_tensor_types() -> SuiteReport:
     bundle = make_sphere_projector(1)
     E, units = end_projector(bundle.g)
     report.add("end-projector-idempotent", E.is_idempotent(), "E(phi) = g phi g on Hom(F,F)")
-    ordered = units == hom_basis_units(bundle.g.source) and len(units) == 4
+    parities = bundle.g.source.parities  # checked from the parities alone: each unit once, even first
+    unit_parities = [(parities[i] + parities[j]) % 2 for i, j in units]
+    every_unit_once = sorted(units) == list(itertools.product(range(len(parities)), repeat=2))
+    ordered = every_unit_once and unit_parities == sorted(unit_parities)
     report.add("hom-basis-units", ordered, "matrix units ordered even-first")
     return report
 

@@ -68,7 +68,7 @@ class Jet:
 
     @classmethod
     def from_dict(cls, arity, order, ring, table, base=None):
-        clean = {tuple(k): v for k, v in table.items() if not ring.is_zero(v)}
+        clean = {tuple(k): v for k, v in table.items() if v}
         for k in clean:
             if len(k) != arity or sum(k) > order:
                 raise DomainError(f"table degree {k} out of range for order {order}")
@@ -141,7 +141,7 @@ def continue_analytically(jet: Jet, xs) -> SuperElement:
             raise ParityError("continuation arguments must be even")
         constant = x.terms.get(0, ring.coeff.zero())
         if jet.base is None:
-            if not ring.coeff.is_zero(constant):
+            if constant:
                 raise DomainError("symbolic-base jets accept pure souls only")
         elif not ring.coeff.eq(constant, jet.base[i]):
             raise DomainError("body of the argument does not match the jet base point")
@@ -219,6 +219,14 @@ def trig_super_ring(L: int) -> SuperRing:
     return SuperRing(trig_coeff_ring(), tuple(f"b{i}" for i in range(1, L + 1)))
 
 
+def _is_trig_ring(ring) -> bool:
+    """Whether ``ring`` rewrites ``S^2`` to ``1 - C^2``, so that ``S`` and ``C`` are a sine and a cosine."""
+    rel = ring.relation
+    if rel is None or rel.heads != ("S", "S") or "C" not in ring.variables:
+        return False
+    return rel.rhs == ring.sub(ring.one(), ring.mul(ring.var("C"), ring.var("C")))
+
+
 def _trig_jet(order: int, ring, phase: int) -> Jet:
     """Sine's derivatives ``(s, c, -s, -c)`` from ``phase`` on, with ``s, c`` sine and cosine at the base.
 
@@ -226,7 +234,7 @@ def _trig_jet(order: int, ring, phase: int) -> Jet:
     other ring it is 0, so ``s, c = 0, 1``.
     """
     ring = ring or trig_coeff_ring()
-    if isinstance(ring, PolyQuotientRing) and ring.variables == ("S", "C") and ring.relation is not None:
+    if _is_trig_ring(ring):
         s, c, base = ring.var("S"), ring.var("C"), None
     else:
         s, c = ring.zero(), ring.one()
@@ -247,7 +255,7 @@ def cos_jet(order: int, ring=None) -> Jet:
 
 def _continue_trig(theta: SuperElement, jet_of) -> SuperElement:
     ring = theta.ring
-    if not ring.coeff.is_zero(theta.terms.get(0, ring.coeff.zero())):
+    if theta.terms.get(0):
         raise DomainError("the angle must have zero constant term (its soul only)")
     return continue_analytically(jet_of(ring.odd_count, ring.coeff), [theta])
 
@@ -310,10 +318,11 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
     if not coeff.eq(coeff.mul(root0, root0), z.body()):
         raise DomainError("root0 squared does not equal the body of z")
     double = coeff.add(root0, root0)
-    if coeff.is_zero(double):
+    if not double:
         raise DomainError("2*root0 is not invertible")
     if not hasattr(coeff, "div"):
         raise DomainError("the coefficient ring does not support exact division")
+    inverse = coeff.div(coeff.one(), double)
 
     support = 0
     for b in z.terms:
@@ -334,7 +343,10 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
         sub = rest
         while sub:
             sub = (sub - 1) & rest
-            mu, nu = low | sub, rest ^ sub
+            mu = low | sub
+            if mu.bit_count() & 1:
+                continue  # odd mu and nu carry no coefficient
+            nu = rest ^ sub
             xmu = coeffs.get(mu)
             xnu = coeffs.get(nu)
             if xmu is not None and xnu is not None:
@@ -343,8 +355,8 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
                     term = coeff.neg(term)
                 half = coeff.add(half, term)
         acc = coeff.sub(z.terms.get(lam, coeff.zero()), coeff.add(half, half))
-        value = coeff.div(acc, double)
-        if not coeff.is_zero(value):
+        value = coeff.mul(acc, inverse)
+        if value:
             coeffs[lam] = value
     x = ring.element(coeffs)
     if x * x != z:

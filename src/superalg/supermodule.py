@@ -422,25 +422,17 @@ def tensor_morphisms(phi: SuperMorphism, psi: SuperMorphism) -> SuperMorphism:
 # -- endomorphism modules ----------------------------------------------------------
 
 
-def hom_basis_units(ftype: FreeType):
-    """Matrix units ordered as a free type: even-parity units first, then odd.
-
-    The unit ``(i, j)`` has parity ``|b_i| + |b_j|``, so this is the basis of
-    ``F (x) F``.
-    """
-    return tensor_basis(ftype, ftype)
-
-
 def end_projector(e: SuperMorphism):
     """The conjugation map ``phi -> e after phi after e`` on Hom(F, F).
 
     Returns ``(E, units)``: ``E`` is a morphism on the free supermodule whose
     basis is the list ``units`` of matrix-unit positions; parity of unit
-    ``(i, j)`` is ``|b_i| + |b_j|``.
+    ``(i, j)`` is ``|b_i| + |b_j|``, so ``units`` is ``tensor_basis(F, F)``,
+    even-parity units first.
     """
     if not e.is_idempotent():
         raise DomainError("morphism is not idempotent")
-    units = hom_basis_units(e.source)
+    units = tensor_basis(e.source, e.source)
     hom_type = e.source.tensor(e.source)
     # e after unit(k, l) after e has matrix entries M[i][k] * M[l][j].
     rows = [[e.matrix[i][k] * e.matrix[l][j] for k, l in units] for i, j in units]

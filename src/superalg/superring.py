@@ -333,12 +333,7 @@ class SuperElement:
         )
 
     def __hash__(self):
-        return hash(self.key())
-
-    def key(self):
-        """Hashable canonical form (odd bitmask, coefficient key) pairs."""
-        coeff = self.ring.coeff
-        return tuple(sorted((b, coeff.key(c)) for b, c in self.terms.items()))
+        return hash(frozenset(self.terms))  # equal elements share their odd monomials
 
     def is_zero(self):
         return not self.terms
@@ -378,7 +373,7 @@ class SuperElement:
         return SuperElement(self.ring, {b: c for b, c in self.terms.items() if b})
 
     def is_nilpotent(self):
-        return self.ring.coeff.is_zero(self.body())
+        return self.ring.coeff.is_nilpotent(self.body())
 
     # -- involution -------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -379,6 +380,34 @@ def test_certify_malformed_coefficient_exit_two(capsys, tmp_path, kind, coeff):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+HUGE_RADICAND = [{"rad": 100000000000000000039, "re": "1", "im": "0"}]  # trial division would not end
+
+
+def _radicand_morphism(path):
+    data = projector_p(1).to_json()
+    data["matrix"][0][0][0]["coeff"] = HUGE_RADICAND
+    path.write_text(json.dumps(data))
+    return ["certify", str(path)]
+
+
+def _radicand_ring(path):
+    base = {"kind": "gaussian_radical"}
+    rhs = [{"exps": {}, "c": HUGE_RADICAND}]
+    coeffs = {"kind": "poly_quotient", "vars": ["x"], "base": base, "relation": {"lead": "x", "rhs": rhs}}
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    return ["eval", "x", "--ring", str(path)]
+
+
+@pytest.mark.parametrize("command", [_radicand_morphism, _radicand_ring], ids=["certify", "eval"])
+def test_radicand_above_the_bound_exits_two_at_once(capsys, tmp_path, command):
+    argv = command(tmp_path / "input.json")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: radicand 100000000000000000039 is outside 1..4294967296\n"
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,8 @@ RINGS = featured_rings() + (
 def assert_sparse_value(ring, value):
     """No zero scalar is stored inside a (possibly nested) coefficient value."""
     if isinstance(ring, PolyQuotientRing):
-        for _, c in value.coeffs:
-            assert not ring.base.is_zero(c)
+        for _, c in ring.monomials(value):
+            assert c
             assert_sparse_value(ring.base, c)
     elif isinstance(ring, RadicalGaussianRing):
         assert all(value.values())
@@ -29,7 +29,7 @@ def assert_sparse_value(ring, value):
 
 def assert_sparse(x):
     for c in x.terms.values():
-        assert not x.ring.coeff.is_zero(c)
+        assert c
         assert_sparse_value(x.ring.coeff, c)
 
 
@@ -80,7 +80,7 @@ def test_jet_sums_and_products_store_no_zero():
     assert (s + minus_s).is_zero()
     for jet in (s + c, s * c, s * s + c * c, s * minus_s):
         for _, v in jet.table:
-            assert not ring.is_zero(v)
+            assert v
             assert_sparse_value(ring, v)
 
 

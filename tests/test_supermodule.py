@@ -13,7 +13,6 @@ from superalg.supermodule import (
     SuperMorphism,
     end_projector,
     extend_basis_map,
-    hom_basis_units,
     left_evaluate,
     lift_through_split_surjection,
     section_splitting,
@@ -293,7 +292,7 @@ def test_end_projector():
     g = make_sphere_projector(1).g
     E, units = end_projector(g)
     assert E.is_idempotent()
-    assert units == hom_basis_units(g.source)
+    assert units == tensor_basis(g.source, g.source)
     assert E.source == FreeType(4, 0)
     ident = SuperMorphism.identity(g.ring, g.source)
     E_id, _ = end_projector(ident)

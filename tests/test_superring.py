@@ -71,6 +71,12 @@ def test_powers_and_nilpotency():
     assert x.is_nilpotent()
     assert (x ** 3).is_zero()
     assert (ring.one() + ring.odd_gen_at(1)).is_nilpotent() is False
+    # Over Z/n the body decides: 2 is nilpotent mod 4 and mod 8, not mod 6; 3 is not mod 6.
+    for n, body, nilpotent in ((4, 2, True), (8, 2, True), (6, 2, False), (6, 3, False)):
+        zn = grassmann_ring(1, IntegerModRing(n))
+        y = zn.from_fraction(body) + zn.odd_gen_at(1)
+        assert y.is_nilpotent() is nilpotent, (n, body)
+        assert (y ** n).is_zero() is nilpotent, (n, body)
     assert x ** 0 == ring.one()
     with pytest.raises(DomainError):
         x ** -1
