@@ -12,16 +12,19 @@ ring reads as a polynomial ring in no variables over itself: no
 at most one term, with the empty exponent tuple.  ``imaginary_unit`` is
 ``None`` where the ring has no ``i``.
 
-Ring values are plain data (``int`` or ``Fraction`` for a rational: an
-integral rational is stored as its ``int`` numerator; ``GaussianRational``;
-``int`` mod n; radical dicts; ``PolyValue``); all operations go through the
-ring object, which owns the normal form.  A ``GaussianRational`` is a
-reduced integer triple ``(a + b*i)/d``, so Gaussian and radical arithmetic
-builds no ``Fraction``.  Every value is falsy exactly when it is zero, which
-is the zero test.  A sparse value hashes by its support and is put in order
-only where it is printed, serialized or listed by ``monomials``.  A ring's
-identity is ``repr(to_json())``, built once per ring object; ``==`` on rings
-compares it after an ``is`` test.
+Ring values are plain data: ``int`` or ``Fraction`` for a rational (an
+integral rational is stored as its ``int`` numerator), ``GaussianRational``,
+``int`` mod n, and two sparse dicts -- the radical value (radicand to
+Gaussian coefficient) and the quotient polynomial (exponent tuple to base
+scalar); all operations go through the ring object, which owns the normal
+form.  A ``GaussianRational`` is a reduced integer triple ``(a + b*i)/d``,
+so Gaussian and radical arithmetic builds no ``Fraction``.  Every value is
+falsy exactly when it is zero, which is the zero test.  A sparse value is
+the dict :func:`collect` returns, in no order, put in order only where it
+is printed, serialized or listed by ``monomials``; it does not hash (a
+``SuperElement`` hashes by its odd monomials).  A ring's identity is
+``repr(to_json())``, built once per ring object; ``==`` on rings compares
+it after an ``is`` test.
 
 Every sparse sum in the package -- radical values, quotient polynomials,
 super ring elements and jets -- is formed by :func:`collect`, which is also
@@ -477,9 +480,10 @@ class RadicalGaussianRing(CoeffRing):
         def terms():
             for item in data:
                 item = json_mapping(item, "a radical term", "rad", "re", "im")
-                if type(item["rad"]) not in (int, str):
-                    raise DomainError(f"radicand {item['rad']!r} is not an integer")
-                m, s = squarefree_split(int(item["rad"]))
+                rad = _json_int(item["rad"])
+                if type(rad) is not int:
+                    raise DomainError(f"radicand {rad!r} is not an integer")
+                m, s = squarefree_split(rad)
                 g = GaussianRational(_parse_fraction(item["re"]), _parse_fraction(item["im"]))
                 yield s, g.scale(m)
 
@@ -497,24 +501,6 @@ def _coeff_str(base, c):
 
 
 @dataclass(frozen=True)
-class PolyValue:
-    """A polynomial in normal form: the dict :func:`collect` returns, from exponent
-    tuples to nonzero base scalars, in no particular order and never changed."""
-
-    terms: dict
-
-    def __eq__(self, other):
-        return isinstance(other, PolyValue) and self.terms == other.terms
-
-    def __hash__(self):
-        # Scalars such as radical dicts are unhashable; equal values share exponents.
-        return hash(frozenset(self.terms))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-
-@dataclass(frozen=True)
 class Relation:
     """A single quadratic rewrite rule ``heads[0]*heads[1] -> rhs``.
 
@@ -524,7 +510,7 @@ class Relation:
     """
 
     heads: tuple  # (u, v)
-    rhs: "PolyValue"
+    rhs: dict  # a value of the ring
 
 
 class PolyQuotientRing(CoeffRing):
@@ -547,7 +533,7 @@ class PolyQuotientRing(CoeffRing):
             if not isinstance(heads, tuple) or len(heads) != 2 or not all(h in self._var_pos for h in heads):
                 raise DomainError(f"relation heads {heads!r} are not a pair of ring variables")
             self._heads = tuple(self._var_pos[h] for h in heads)
-            for exps in relation.rhs.terms:
+            for exps in relation.rhs:
                 if any(exps[i] for i in self._heads):
                     raise DomainError("relation right-hand side must not mention its head variables")
             self._rhs_powers = [self.one(), relation.rhs]
@@ -555,13 +541,13 @@ class PolyQuotientRing(CoeffRing):
     # -- construction -----------------------------------------------------
 
     def zero(self):
-        return PolyValue({})
+        return {}
 
     def from_fraction(self, fr):
         return self.from_scalar(self.base.from_fraction(fr))
 
     def from_scalar(self, c):
-        return PolyValue({(0,) * len(self.variables): c} if c else {})
+        return {(0,) * len(self.variables): c} if c else {}
 
     def imaginary_unit(self):
         i = self.base.imaginary_unit()
@@ -570,10 +556,10 @@ class PolyQuotientRing(CoeffRing):
     def var(self, name):
         if name not in self._var_pos:
             return super().var(name)
-        return PolyValue({tuple(int(v == name) for v in self.variables): self.base.one()})
+        return {tuple(int(v == name) for v in self.variables): self.base.one()}
 
-    def monomials(self, u: PolyValue):
-        return tuple(sorted(u.terms.items()))
+    def monomials(self, u):
+        return tuple(sorted(u.items()))
 
     def monomial(self, exps, c):
         return self.normal_form_dict([(tuple(exps), c)])
@@ -595,50 +581,50 @@ class PolyQuotientRing(CoeffRing):
         exps = list(exps)
         exps[i] -= k
         exps[j] -= k
-        for rexp, rc in self._rhs_power(k).terms.items():
+        for rexp, rc in self._rhs_power(k).items():
             yield tuple(a + b for a, b in zip(exps, rexp)), self.base.mul(c, rc)
 
     def normal_form_dict(self, terms):
         """The normal form of the sum of ``(exponents, scalar)`` pairs, in one :func:`collect` pass."""
         if self.relation is not None:
             terms = chain.from_iterable(self._reduce_monomial(e, c) for e, c in terms)
-        return PolyValue(collect(self.base, terms))
+        return collect(self.base, terms)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, u: PolyValue, v: PolyValue):
-        return PolyValue(collect(self.base, chain(u.terms.items(), v.terms.items())))
+    def add(self, u, v):
+        return collect(self.base, chain(u.items(), v.items()))
 
-    def neg(self, u: PolyValue):
-        return PolyValue({e: self.base.neg(c) for e, c in u.terms.items()})
+    def neg(self, u):
+        return {e: self.base.neg(c) for e, c in u.items()}
 
-    def mul(self, u: PolyValue, v: PolyValue):
+    def mul(self, u, v):
         products = (
             (tuple(a + b for a, b in zip(e1, e2)), self.base.mul(c1, c2))
-            for e1, c1 in u.terms.items()
-            for e2, c2 in v.terms.items()
+            for e1, c1 in u.items()
+            for e2, c2 in v.items()
         )
         return self.normal_form_dict(products)
 
-    def conj(self, u: PolyValue):
-        return PolyValue({e: self.base.conj(c) for e, c in u.terms.items()})
+    def conj(self, u):
+        return {e: self.base.conj(c) for e, c in u.items()}
 
-    def substitute_vars(self, u: PolyValue, mapping):
+    def substitute_vars(self, u, mapping):
         """Rename variables per ``mapping`` (a permutation of variable names)."""
         perm = [self._var_pos[mapping.get(v, v)] for v in self.variables]
         out = {}
-        for exps, c in u.terms.items():
+        for exps, c in u.items():
             new = [0] * len(exps)
             for src, dst in enumerate(perm):
                 new[dst] = exps[src]
             out[tuple(new)] = c
         return self.normal_form_dict(out.items())
 
-    def to_str(self, u: PolyValue):
+    def to_str(self, u):
         if not u:
             return "0"
         parts = []
-        for exps, c in sorted(u.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for exps, c in sorted(u.items(), key=lambda kv: (sum(kv[0]), kv[0])):
             factors = []
             for v, e in zip(self.variables, exps):
                 if e == 1:
@@ -654,7 +640,7 @@ class PolyQuotientRing(CoeffRing):
                 parts.append(cs)
         return " + ".join(parts)
 
-    def value_to_json(self, u: PolyValue):
+    def value_to_json(self, u):
         return [
             {"exps": {v: e for v, e in zip(self.variables, exps) if e}, "c": self.base.value_to_json(c)}
             for exps, c in self.monomials(u)
@@ -715,6 +701,13 @@ def json_names(data, what: str) -> tuple:
     return tuple(data)
 
 
+def _json_int(data):
+    """``data`` as an ``int`` if it is a string of decimal digits, else ``data`` unchanged."""
+    if isinstance(data, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", data):
+        return int(data)
+    return data
+
+
 def json_count(data, what: str) -> int:
     """``data`` if it is a JSON integer ``>= 0``; ``DomainError`` names ``what`` otherwise."""
     if type(data) is not int or data < 0:
@@ -729,9 +722,7 @@ def coeff_ring_from_json(data) -> CoeffRing:
     if kind == "gaussian_rational":
         return GaussianRationalRing()
     if kind == "integer_mod":
-        n = data.get("n")
-        if isinstance(n, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", n):
-            n = int(n)
+        n = _json_int(data.get("n"))
         if type(n) is not int:
             raise DomainError(f"integer_mod modulus 'n' must be an integer, not {n!r}")
         return IntegerModRing(n)

@@ -402,7 +402,7 @@ def suite_trig(L: int = 6, count: int = 25, seed: int = 0) -> SuiteReport:
     report.add("D-sin-is-cos", sj.derivative() == cos_jet(L - 1, ring.coeff), "jet cycle shift")
     neg_sin = Jet.from_dict(
         1, L - 1, ring.coeff,
-        {k: ring.coeff.neg(v) for k, v in sin_jet(L - 1, ring.coeff).as_dict().items()},
+        {k: ring.coeff.neg(v) for k, v in sin_jet(L - 1, ring.coeff).table.items()},
     )
     report.add("D-cos-is-neg-sin", cj.derivative() == neg_sin, "jet cycle shift")
     constant = (sj * sj + cj * cj).derivative().is_zero()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 from . import multiindex as mi
@@ -54,28 +55,31 @@ def body_point(p: SuperPoint):
 class Jet:
     """Derivative table of a smooth function at a body point.
 
-    ``table`` maps multi-degrees ``(i1, .., im)`` with total degree <= order
-    to coefficient-ring values; missing entries are zero derivatives.
-    ``base`` is the body point, or None when the base point is symbolic (the
-    trig backend), in which case continuation arguments must be pure souls.
+    ``table`` is a dict from multi-degrees ``(i1, .., im)``, integers ``>= 0``
+    with total degree <= order, to nonzero coefficient-ring values, in no
+    order; missing entries are zero derivatives.  ``base`` is the body point,
+    or None when the base point is symbolic (the trig backend), in which case
+    continuation arguments must be pure souls.  A sum or product of two jets
+    has the smaller order of the two.
     """
 
     arity: int
     order: int
     ring: object  # CoeffRing of the values
-    table: tuple  # sorted tuple of (degrees, value)
+    table: dict
     base: tuple = None
 
     @classmethod
     def from_dict(cls, arity, order, ring, table, base=None):
-        clean = {tuple(k): v for k, v in table.items() if v}
-        for k in clean:
-            if len(k) != arity or sum(k) > order:
+        """The jet of ``table``, checked once; ``DomainError`` names a degree out of range."""
+        clean = {}
+        for k, v in table.items():
+            k = tuple(k)
+            if len(k) != arity or not all(type(d) is int and d >= 0 for d in k) or sum(k) > order:
                 raise DomainError(f"table degree {k} out of range for order {order}")
-        return cls(arity, order, ring, tuple(sorted(clean.items())), base)
-
-    def as_dict(self):
-        return dict(self.table)
+            if v:
+                clean[k] = v
+        return cls(arity, order, ring, clean, base)
 
     @classmethod
     def constant(cls, value, ring, arity=1, order=0, base=None):
@@ -83,18 +87,21 @@ class Jet:
 
     def __add__(self, other):
         self._compat(other)
-        out = collect(self.ring, chain(self.table, other.table))
-        return Jet.from_dict(self.arity, min(self.order, other.order), self.ring, out, self.base)
+        order = min(self.order, other.order)
+        terms = chain(self.table.items(), other.table.items())
+        out = collect(self.ring, ((k, v) for k, v in terms if sum(k) <= order))
+        return Jet(self.arity, order, self.ring, out, self.base)
 
     def __mul__(self, other):
         """Leibniz product: the jet of the pointwise product, truncated."""
         self._compat(other)
         order = min(self.order, other.order)
         ring = self.ring
+        right = other.table.items()
 
         def products():
-            for k1, v1 in self.table:
-                for k2, v2 in other.table:
+            for k1, v1 in self.table.items():
+                for k2, v2 in right:
                     k = tuple(a + b for a, b in zip(k1, k2))
                     if sum(k) > order:
                         continue
@@ -106,7 +113,7 @@ class Jet:
                         term = ring.mul(term, ring.from_int(binom))
                     yield k, term
 
-        return Jet.from_dict(self.arity, order, ring, collect(ring, products()), self.base)
+        return Jet(self.arity, order, ring, collect(ring, products()), self.base)
 
     def _compat(self, other):
         if self.arity != other.arity or self.ring != other.ring or self.base != other.base:
@@ -115,13 +122,10 @@ class Jet:
     def derivative(self, axis: int = 0):
         """The jet of the partial derivative along ``axis``; order drops by one."""
         out = {}
-        for k, v in self.table:
-            if k[axis] == 0:
-                continue
-            nk = list(k)
-            nk[axis] -= 1
-            out[tuple(nk)] = v
-        return Jet.from_dict(self.arity, self.order - 1, self.ring, out, self.base)
+        for k, v in self.table.items():
+            if k[axis]:
+                out[k[:axis] + (k[axis] - 1,) + k[axis + 1 :]] = v
+        return Jet(self.arity, self.order - 1, self.ring, out, self.base)
 
     def is_zero(self):
         return not self.table
@@ -161,7 +165,7 @@ def continue_analytically(jet: Jet, xs) -> SuperElement:
         return memo[d]
 
     def taylor_terms():
-        for degrees, value in jet.table:
+        for degrees, value in jet.table.items():
             factors = [soul_power(memo, d) for memo, d in zip(powers, degrees) if d]
             if any(f.is_zero() for f in factors):
                 continue  # before 1/k! is formed: it need not exist in the coefficient ring
@@ -179,13 +183,13 @@ class SuperSmoothFn:
     """A family of jets indexed by odd multi-indices (finite G-infinity data)."""
 
     odd_arity: int
-    jets: tuple  # sorted tuple of (bitmask, Jet)
+    jets: dict  # odd bitmask -> Jet
 
     @classmethod
     def from_dict(cls, odd_arity, jets):
         if any(b >> odd_arity for b in jets):
             raise DomainError("jet index exceeds the odd arity")
-        return cls(odd_arity, tuple(sorted(jets.items())))
+        return cls(odd_arity, dict(jets))
 
 
 def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
@@ -195,7 +199,7 @@ def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
     ring = point.evens[0].ring if point.evens else point.odds[0].ring
 
     def terms():
-        for bits, jet in fn.jets:
+        for bits, jet in fn.jets.items():
             term = continue_analytically(jet, point.evens)
             for i in mi.indices_from_bits(bits):
                 term = term * point.odds[i - 1]
@@ -219,6 +223,7 @@ def trig_super_ring(L: int) -> SuperRing:
     return SuperRing(trig_coeff_ring(), tuple(f"b{i}" for i in range(1, L + 1)))
 
 
+@lru_cache(maxsize=32)  # rings hash by their descriptor, so equal rings share an entry
 def _is_trig_ring(ring) -> bool:
     """Whether ``ring`` rewrites ``S^2`` to ``1 - C^2``, so that ``S`` and ``C`` are a sine and a cosine."""
     rel = ring.relation

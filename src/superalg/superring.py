@@ -38,39 +38,24 @@ from .scalars import (
 
 @dataclass(frozen=True)
 class Involution:
-    """Generator pairing for a graded involution.
+    """Generator pairing for a graded involution: the pairs as given.
 
-    ``even_map`` permutes even polynomial variables; ``odd_map`` sends each
-    odd generator name to ``(partner, sign)``.  The sign convention
-    ``(x**diamond)**diamond == (-1)**|x| * x`` is realized by giving one
-    direction of each odd pair the sign -1.
+    Each of ``even_pairs`` swaps two even polynomial variables (a pair of one
+    name fixes it); each of ``odd_pairs`` ``(u, v)`` sends ``u`` to ``v`` and
+    ``v`` to ``-u``, which realizes the sign convention
+    ``(x**diamond)**diamond == (-1)**|x| * x``.  The ring that uses the table
+    checks it and expands both directions (:meth:`SuperRing._compile_involution`).
     """
 
-    even_map: tuple = ()  # tuple of (name, name) pairs, both directions listed
-    odd_map: tuple = ()  # tuple of (name, partner, sign)
+    even_pairs: tuple = ()  # tuple of (name, name)
+    odd_pairs: tuple = ()  # tuple of (name, partner)
 
     @classmethod
     def from_pairs(cls, even_pairs=(), odd_pairs=()):
-        even = []
-        for u, v in even_pairs:
-            even.append((u, v))
-            if u != v:
-                even.append((v, u))
-        odd = []
-        for u, v in odd_pairs:
-            odd.append((u, v, 1))
-            odd.append((v, u, -1))
-        return cls(tuple(even), tuple(odd))
+        return cls(tuple(map(tuple, even_pairs)), tuple(map(tuple, odd_pairs)))
 
     def to_json(self):
-        seen = set()
-        even = []
-        for u, v in self.even_map:
-            if (v, u) not in seen:
-                even.append([u, v])
-                seen.add((u, v))
-        odd = [[u, v] for u, v, s in self.odd_map if s == 1]
-        return {"even_pairs": even, "odd_pairs": odd}
+        return {"even_pairs": [list(p) for p in self.even_pairs], "odd_pairs": [list(p) for p in self.odd_pairs]}
 
     @classmethod
     def from_json(cls, data):
@@ -109,29 +94,33 @@ class SuperRing:
         """Build ``_odd_images``, a ``(bit, sign)`` per odd generator, and ``_even_images``.
 
         ``DomainError`` if the table names a generator the ring lacks, pairs one
-        twice (both directions are listed, so it is the source of two entries),
-        leaves an odd generator unpaired (``(x**)** = -x`` needs a partner), or
-        does not send the relation to itself.
+        twice (each name of a pair is the source of one direction, so a name in
+        two pairs, or an odd pair of one name, is a source twice), leaves an odd
+        generator unpaired (``(x**)** = -x`` needs a partner), or does not send
+        the relation to itself.
         """
-        for kind, names, table in (
-            ("odd", self._odd_pos, involution.odd_map),
-            ("even", self.coeff.variables, involution.even_map),
+        odd_sources = [name for pair in involution.odd_pairs for name in pair]
+        # An even pair of one name fixes that name: one direction, one source.
+        even_sources = [name for pair in involution.even_pairs for name in dict.fromkeys(pair)]
+        for kind, names, sources in (
+            ("odd", self._odd_pos, odd_sources),
+            ("even", self.coeff.variables, even_sources),
         ):
-            sources = [entry[0] for entry in table]
             for name in sources:
                 if name not in names:
                     raise DomainError(f"involution pairs unknown {kind} generator {name!r}")
                 if sources.count(name) > 1:
                     raise DomainError(f"involution table is not a bijection: {name!r} is paired twice")
-        paired = {u for u, _, _ in involution.odd_map}
         for name in self.odd_names:
-            if name not in paired:
+            if name not in odd_sources:
                 raise DomainError(f"involution table leaves odd generator {name!r} unpaired")
         images = [(1 << i, 1) for i in range(self.odd_count)]
-        for u, v, sign in involution.odd_map:
-            images[self._odd_pos[u]] = (1 << self._odd_pos[v], sign)
+        for u, v in involution.odd_pairs:
+            images[self._odd_pos[u]] = (1 << self._odd_pos[v], 1)
+            images[self._odd_pos[v]] = (1 << self._odd_pos[u], -1)
         self._odd_images = tuple(images)
-        self._even_images = dict(involution.even_map)
+        for u, v in involution.even_pairs:
+            self._even_images[u], self._even_images[v] = v, u
         rel = self.coeff.relation
         if rel is not None:
             # The involution is well defined on the quotient when the image of

@@ -161,8 +161,8 @@ def test_09_super_trig_identities():
         ok &= s * s + c * c == ring.one()
     tring = trig_coeff_ring()
     ok &= sin_jet(6, tring).derivative() == cos_jet(5, tring)
-    minus_sin = {k: tring.neg(v) for k, v in sin_jet(5, tring).as_dict().items()}
-    ok &= cos_jet(6, tring).derivative().as_dict() == minus_sin
+    minus_sin = {k: tring.neg(v) for k, v in sin_jet(5, tring).table.items()}
+    ok &= cos_jet(6, tring).derivative().table == minus_sin
     report(9, "Super trig: sin^2+cos^2=1 in trig ring x Grassmann(6); D-identities", ok, time.perf_counter() - start, 10)
 
 

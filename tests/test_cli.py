@@ -410,6 +410,16 @@ def test_radicand_above_the_bound_exits_two_at_once(capsys, tmp_path, command):
     assert err == "error: radicand 100000000000000000039 is outside 1..4294967296\n"
 
 
+def test_radicand_that_is_not_an_integer_is_named(capsys, tmp_path):
+    data = projector_p(1).to_json()
+    data["matrix"][0][0][0]["coeff"] = [{"rad": "abc", "re": "1", "im": "0"}]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and err.count("\n") == 1 and "radicand 'abc'" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

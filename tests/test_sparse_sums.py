@@ -76,10 +76,10 @@ def test_radical_cancellation_leaves_no_terms():
 def test_jet_sums_and_products_store_no_zero():
     ring = trig_coeff_ring()
     s, c = sin_jet(4, ring), cos_jet(4, ring)
-    minus_s = Jet.from_dict(1, 4, ring, {k: ring.neg(v) for k, v in s.table})
+    minus_s = Jet.from_dict(1, 4, ring, {k: ring.neg(v) for k, v in s.table.items()})
     assert (s + minus_s).is_zero()
     for jet in (s + c, s * c, s * s + c * c, s * minus_s):
-        for _, v in jet.table:
+        for v in jet.table.values():
             assert v
             assert_sparse_value(ring, v)
 

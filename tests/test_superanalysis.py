@@ -103,14 +103,23 @@ class TestJets:
         with pytest.raises(ParityError):
             continue_analytically(f, [ring.odd_gen_at(1)])
 
+    def test_elements_over_radical_quotient_ring_hash_alike(self):
+        ring = make_uosp_ring()
+        a = ring.even_gen("a")
+        assert hash(a) == hash(ring.even_gen("a"))
+        assert {a: 1}[ring.even_gen("a")] == 1
+        assert Jet.constant(a.terms[0], ring.coeff) == Jet.constant(ring.coeff.var("a"), ring.coeff)
 
-    def test_jet_over_radical_quotient_ring_is_hashable(self):
-        coeff = make_uosp_ring().coeff
-        a = coeff.var("a")
-        assert hash(a) == hash(coeff.var("a"))
-        assert {a: 1}[coeff.var("a")] == 1
-        jet = Jet.constant(a, coeff)
-        assert hash(jet) == hash(Jet.constant(coeff.var("a"), coeff))
+    def test_sum_of_unequal_orders_truncates_to_the_smaller(self):
+        expected = sin_jet(3) + cos_jet(3)
+        assert expected.order == 3
+        assert sin_jet(5) + cos_jet(3) == expected
+        assert cos_jet(3) + sin_jet(5) == expected
+
+    @pytest.mark.parametrize("degree", [-1, 1.5, Fraction(1, 2)])
+    def test_from_dict_refuses_a_degree_that_is_not_a_count(self, degree):
+        with pytest.raises(DomainError, match="out of range"):
+            Jet.from_dict(1, 2, RR, {(degree,): 1}, base=(0,))
 
 
 class TestGInfinity:
@@ -207,7 +216,7 @@ class TestTrig:
             assert sin_jet(L, tring).derivative() == cos_jet(L - 1, tring)
             minus_sin = Jet.from_dict(
                 1, L - 1, tring,
-                {k: tring.neg(v) for k, v in sin_jet(L - 1, tring).as_dict().items()},
+                {k: tring.neg(v) for k, v in sin_jet(L - 1, tring).table.items()},
             )
             assert cos_jet(L, tring).derivative() == minus_sin
             sj, cj = sin_jet(L, tring), cos_jet(L, tring)
