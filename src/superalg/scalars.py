@@ -16,9 +16,13 @@ Ring values are plain data: ``int`` or ``Fraction`` for a rational (an
 integral rational is stored as its ``int`` numerator), ``GaussianRational``,
 ``int`` mod n, and two sparse dicts -- the radical value (radicand to
 Gaussian coefficient) and the quotient polynomial (exponent tuple to base
-scalar); all operations go through the ring object, which owns the normal
-form.  A ``GaussianRational`` is a reduced integer triple ``(a + b*i)/d``,
-so Gaussian and radical arithmetic builds no ``Fraction``.  Every value is
+scalar).  A quotient over ``gaussian_radical`` scalars is one flat dict
+keyed by ``(exponent tuple, squarefree radicand)`` with ``GaussianRational``
+values, so no radical dict nests inside it; its ``monomials`` regroups the
+terms of each exponent tuple into a radical value.  All operations go
+through the ring object, which owns the normal form.  A
+``GaussianRational`` is a reduced integer triple ``(a + b*i)/d``, so
+Gaussian and radical arithmetic builds no ``Fraction``.  Every value is
 falsy exactly when it is zero, which is the zero test.  A sparse value is
 the dict :func:`collect` returns, in no order, put in order only where it
 is printed, serialized or listed by ``monomials``; it does not hash (a
@@ -38,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+import operator
 from itertools import chain
 
 from .errors import DomainError
@@ -166,10 +171,21 @@ def _gaussian(a, b, d):
         g = math.gcd(a, b, d)
         if g != 1:
             a, b, d = a // g, b // g, d // g
-    return _reduced(a, b, d)
+    z = object.__new__(GaussianRational)  # _reduced, inlined on the hot path
+    z.a, z.b, z.d = a, b, d
+    return z
 
 
 MAX_RADICAND = 2**32  # trial division to sqrt(n) then takes at most 65,536 steps
+
+
+def radical_product(s: int, t: int, c):
+    """``c*sqrt(s)*sqrt(t)`` for squarefree ``s, t`` as ``(squarefree radicand, Gaussian coefficient)``.
+
+    ``sqrt(s)*sqrt(t) = g*sqrt(s*t/g^2)`` with ``g = gcd(s, t)``, which subsumes ``sqrt(s)**2 = s``.
+    """
+    g = math.gcd(s, t)
+    return (s // g) * (t // g), (c if g == 1 else c.scale(g))
 
 
 def squarefree_split(n: int):
@@ -334,14 +350,10 @@ class GaussianRationalRing(CoeffRing):
     def imaginary_unit(self):
         return GaussianRational(0, 1)
 
-    def add(self, u, v):
-        return u + v
-
-    def neg(self, u):
-        return -u
-
-    def mul(self, u, v):
-        return u * v
+    # The operators themselves, so that a sum in :func:`collect` enters no ring-level frame.
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def div(self, u, v):
         return u * v.inverse()
@@ -412,8 +424,7 @@ class RadicalGaussianRing(CoeffRing):
 
     A value is a dict mapping a squarefree positive integer to a Gaussian
     rational coefficient (key 1 is the rational part).  Radicals multiply by
-    ``sqrt(s)*sqrt(t) = g*sqrt(s*t/g^2)`` with ``g = gcd(s, t)``, which
-    subsumes ``sqrt(c)**2 = c``.  Conjugation fixes radicals.
+    :func:`radical_product`.  Conjugation fixes radicals.
     """
 
     kind = "gaussian_radical"
@@ -445,14 +456,8 @@ class RadicalGaussianRing(CoeffRing):
         return {s: -c for s, c in u.items()}
 
     def mul(self, u, v):
-        def products():
-            for s, c in u.items():
-                for t, d in v.items():
-                    g = math.gcd(s, t)
-                    cd = c * d
-                    yield (s // g) * (t // g), (cd if g == 1 else cd.scale(g))
-
-        return collect(self._gaussians, products())
+        products = (radical_product(s, t, c * d) for s, c in u.items() for t, d in v.items())
+        return collect(self._gaussians, products)
 
     def conj(self, u):
         return {s: c.conj() for s, c in u.items()}
@@ -514,13 +519,22 @@ class Relation:
 
 
 class PolyQuotientRing(CoeffRing):
-    """Commutative polynomials over a base scalar ring, modulo one relation."""
+    """Commutative polynomials over a base scalar ring, modulo one relation.
+
+    A value maps a term key to a nonzero scalar: the exponent tuple to a base
+    scalar, or over ``gaussian_radical`` scalars ``(exponents, squarefree
+    radicand)`` to a ``GaussianRational``, so that no radical dict nests in a
+    term.  ``monomials``, ``monomial``, ``from_scalar`` and the JSON forms
+    speak in ``(exponents, base scalar)`` pairs either way.
+    """
 
     kind = "poly_quotient"
     base = None  # set per instance; shadows the scalar-ring ``CoeffRing.base``
 
     def __init__(self, base: CoeffRing, variables, relation: Relation = None):
         self.base = base
+        self._flat = base.kind == "gaussian_radical"
+        self._scalars = GaussianRationalRing() if self._flat else base  # the ring of the stored scalars
         self.variables = tuple(variables)
         self._var_pos = {v: i for i, v in enumerate(self.variables)}
         if len(self._var_pos) != len(self.variables):
@@ -533,12 +547,18 @@ class PolyQuotientRing(CoeffRing):
             if not isinstance(heads, tuple) or len(heads) != 2 or not all(h in self._var_pos for h in heads):
                 raise DomainError(f"relation heads {heads!r} are not a pair of ring variables")
             self._heads = tuple(self._var_pos[h] for h in heads)
-            for exps in relation.rhs:
+            for exps, _ in self.monomials(relation.rhs):
                 if any(exps[i] for i in self._heads):
                     raise DomainError("relation right-hand side must not mention its head variables")
             self._rhs_powers = [self.one(), relation.rhs]
 
     # -- construction -----------------------------------------------------
+
+    def _terms(self, exps, c):
+        """The base scalar ``c`` times the monomial ``exps``, as ``(key, scalar)`` pairs."""
+        if self._flat:
+            return [((exps, s), g) for s, g in c.items()]
+        return [(exps, c)] if c else []
 
     def zero(self):
         return {}
@@ -547,7 +567,7 @@ class PolyQuotientRing(CoeffRing):
         return self.from_scalar(self.base.from_fraction(fr))
 
     def from_scalar(self, c):
-        return {(0,) * len(self.variables): c} if c else {}
+        return dict(self._terms((0,) * len(self.variables), c))
 
     def imaginary_unit(self):
         i = self.base.imaginary_unit()
@@ -556,13 +576,18 @@ class PolyQuotientRing(CoeffRing):
     def var(self, name):
         if name not in self._var_pos:
             return super().var(name)
-        return {tuple(int(v == name) for v in self.variables): self.base.one()}
+        return dict(self._terms(tuple(int(v == name) for v in self.variables), self.base.one()))
 
     def monomials(self, u):
-        return tuple(sorted(u.items()))
+        if not self._flat:
+            return tuple(sorted(u.items()))
+        radicals = {}
+        for (exps, s), c in u.items():
+            radicals.setdefault(exps, {})[s] = c
+        return tuple(sorted(radicals.items()))
 
     def monomial(self, exps, c):
-        return self.normal_form_dict([(tuple(exps), c)])
+        return self.normal_form_dict(self._terms(tuple(exps), c))
 
     # -- normal form -------------------------------------------------------
 
@@ -571,60 +596,74 @@ class PolyQuotientRing(CoeffRing):
             self._rhs_powers.append(self.mul(self._rhs_powers[-1], self.relation.rhs))
         return self._rhs_powers[k]
 
-    def _reduce_monomial(self, exps, c):
-        """Rewrite the lead product ``k`` times out of one monomial; yields ``(exponents, scalar)`` terms."""
+    def _products(self, terms, others):
+        """The product of every ``(key, scalar)`` pair in ``terms`` with every one in ``others``, unsummed."""
+        add = operator.add
+        if self._flat:
+            for (e1, s), c1 in terms:
+                for (e2, t), c2 in others:
+                    r, c = radical_product(s, t, c1 * c2)
+                    yield (tuple(map(add, e1, e2)), r), c
+        else:
+            mul = self.base.mul
+            for e1, c1 in terms:
+                for e2, c2 in others:
+                    yield tuple(map(add, e1, e2)), mul(c1, c2)
+
+    def _rewritten(self, terms):
+        """Rewrite the lead product ``k`` times out of each ``(key, scalar)`` term; yields the results."""
+        flat = self._flat
         i, j = self._heads
-        k = exps[i] // 2 if i == j else min(exps[i], exps[j])
-        if k == 0:
-            yield exps, c
-            return
-        exps = list(exps)
-        exps[i] -= k
-        exps[j] -= k
-        for rexp, rc in self._rhs_power(k).items():
-            yield tuple(a + b for a, b in zip(exps, rexp)), self.base.mul(c, rc)
+        for key, c in terms:
+            exps = key[0] if flat else key
+            k = exps[i] // 2 if i == j else min(exps[i], exps[j])
+            if k == 0:
+                yield key, c
+                continue
+            exps = list(exps)
+            exps[i] -= k
+            exps[j] -= k
+            head = (tuple(exps), key[1]) if flat else tuple(exps)
+            yield from self._products(((head, c),), self._rhs_power(k).items())
 
     def normal_form_dict(self, terms):
-        """The normal form of the sum of ``(exponents, scalar)`` pairs, in one :func:`collect` pass."""
+        """The normal form of the sum of ``(key, scalar)`` pairs, in one :func:`collect` pass."""
         if self.relation is not None:
-            terms = chain.from_iterable(self._reduce_monomial(e, c) for e, c in terms)
-        return collect(self.base, terms)
+            terms = self._rewritten(terms)
+        return collect(self._scalars, terms)
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, u, v):
-        return collect(self.base, chain(u.items(), v.items()))
+        return collect(self._scalars, chain(u.items(), v.items()))
 
     def neg(self, u):
-        return {e: self.base.neg(c) for e, c in u.items()}
+        return {e: self._scalars.neg(c) for e, c in u.items()}
 
     def mul(self, u, v):
-        products = (
-            (tuple(a + b for a, b in zip(e1, e2)), self.base.mul(c1, c2))
-            for e1, c1 in u.items()
-            for e2, c2 in v.items()
-        )
-        return self.normal_form_dict(products)
+        return self.normal_form_dict(self._products(u.items(), v.items()))
 
     def conj(self, u):
-        return {e: self.base.conj(c) for e, c in u.items()}
+        return {e: self._scalars.conj(c) for e, c in u.items()}
 
     def substitute_vars(self, u, mapping):
         """Rename variables per ``mapping`` (a permutation of variable names)."""
         perm = [self._var_pos[mapping.get(v, v)] for v in self.variables]
-        out = {}
-        for exps, c in u.items():
+
+        def renamed(exps):
             new = [0] * len(exps)
             for src, dst in enumerate(perm):
                 new[dst] = exps[src]
-            out[tuple(new)] = c
-        return self.normal_form_dict(out.items())
+            return tuple(new)
+
+        terms = (self._terms(renamed(exps), c) for exps, c in self.monomials(u))
+        return self.normal_form_dict(chain.from_iterable(terms))
 
     def to_str(self, u):
         if not u:
             return "0"
         parts = []
-        for exps, c in sorted(u.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for exps, c in sorted(self.monomials(u), key=lambda kv: (sum(kv[0]), kv[0])):
             factors = []
             for v, e in zip(self.variables, exps):
                 if e == 1:
@@ -661,7 +700,7 @@ class PolyQuotientRing(CoeffRing):
                     if v not in self._var_pos:
                         raise DomainError(f"{v!r} is not a variable of the ring")
                     exps[self._var_pos[v]] = json_count(e, f"the exponent of {v}")
-                yield tuple(exps), self.base.value_from_json(item["c"])
+                yield from self._terms(tuple(exps), self.base.value_from_json(item["c"]))
 
         return self.normal_form_dict(terms())
 

@@ -51,6 +51,12 @@ def body_point(p: SuperPoint):
     return tuple(x.body() for x in p.evens)
 
 
+def _check_degree(k, arity, order):
+    """``DomainError`` unless ``k`` is ``arity`` integers ``>= 0`` of total degree at most ``order``."""
+    if len(k) != arity or not all(type(d) is int and d >= 0 for d in k) or sum(k) > order:
+        raise DomainError(f"table degree {k} out of range for order {order}")
+
+
 @dataclass(frozen=True)
 class Jet:
     """Derivative table of a smooth function at a body point.
@@ -75,8 +81,7 @@ class Jet:
         clean = {}
         for k, v in table.items():
             k = tuple(k)
-            if len(k) != arity or not all(type(d) is int and d >= 0 for d in k) or sum(k) > order:
-                raise DomainError(f"table degree {k} out of range for order {order}")
+            _check_degree(k, arity, order)
             if v:
                 clean[k] = v
         return cls(arity, order, ring, clean, base)
@@ -166,6 +171,7 @@ def continue_analytically(jet: Jet, xs) -> SuperElement:
 
     def taylor_terms():
         for degrees, value in jet.table.items():
+            _check_degree(degrees, jet.arity, jet.order)  # a jet built with ``Jet(...)`` skipped from_dict's check
             factors = [soul_power(memo, d) for memo, d in zip(powers, degrees) if d]
             if any(f.is_zero() for f in factors):
                 continue  # before 1/k! is formed: it need not exist in the coefficient ring

@@ -1,7 +1,10 @@
 """The integer-triple Gaussian type against a Fraction-pair oracle, radical
-JSON normal form, and ring identities that are built once."""
+JSON normal form, ring identities that are built once, the flat
+``(exponents, radicand)`` layout of a quotient over radical scalars, and a
+pinned count of sparse sums in the supersphere projector."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from superalg.errors import DomainError
 from superalg.landi import make_uosp_ring, projector_p
+import superalg.scalars as scalars
 from superalg.scalars import (
     GaussianRational,
     GaussianRationalRing,
@@ -219,3 +223,87 @@ def test_polynomial_json_sums_repeated_exponent_maps():
     assert twice == ring.mul(ring.from_scalar(ring.base.sqrt_int(8)), x1_sq)
     negated = {"exps": {"x1": 2}, "c": [{"rad": 2, "re": "-1", "im": "0"}]}
     assert ring.value_from_json([term, {"exps": {}, "c": []}, negated]) == ring.zero()
+
+
+UOSP = make_uosp_ring()
+RADICALS = RadicalGaussianRing()
+
+
+def _radical_scalar(s):
+    """``sqrt(s)`` as a value of the uosp coefficient ring."""
+    return UOSP.coeff.from_scalar(RADICALS.sqrt_int(s))
+
+
+def test_cancelling_radicands_leave_the_zero_polynomial():
+    coeff = UOSP.coeff
+    a = coeff.var("a")
+    difference = coeff.sub(_radical_scalar(8), coeff.mul(coeff.from_int(2), _radical_scalar(2)))
+    value = coeff.mul(difference, a)
+    assert value == {} and not value
+    assert coeff.monomials(value) == ()
+    partial = coeff.add(coeff.mul(_radical_scalar(2), a), coeff.mul(coeff.neg(_radical_scalar(8)), a))
+    assert coeff.monomials(partial) == (((1, 0, 0, 0), {2: GaussianRational(-1)}),)
+    for row in projector_p(2).matrix:
+        for entry in row:
+            for value in entry.terms.values():
+                assert all(radical and all(radical.values()) for _, radical in coeff.monomials(value))
+
+
+def test_json_term_whose_radicands_cancel_is_dropped():
+    coeff = UOSP.coeff
+    term = {"exps": {"b": 1}, "c": [{"rad": 8, "re": "1", "im": "0"}, {"rad": 2, "re": "-2", "im": "0"}]}
+    assert coeff.value_from_json([term]) == {}
+    kept = {"exps": {"bd": 2}, "c": [{"rad": 3, "re": "1/2", "im": "0"}]}
+    assert coeff.value_from_json([term, kept]) == {((0, 0, 0, 2), 3): GaussianRational(Fraction(1, 2))}
+
+
+def test_radicands_multiply_to_a_squarefree_key():
+    coeff = UOSP.coeff
+    root6 = _radical_scalar(6)
+    assert coeff.mul(root6, root6) == {((0, 0, 0, 0), 1): GaussianRational(6)}
+    assert coeff.mul(root6, root6) == coeff.from_int(6)
+    assert coeff.mul(_radical_scalar(6), _radical_scalar(10)) == {((0, 0, 0, 0), 15): GaussianRational(2)}
+    assert coeff.monomials(coeff.mul(root6, coeff.var("b"))) == (((0, 0, 1, 0), {6: GaussianRational(1)}),)
+
+
+def test_from_scalar_of_the_zero_radical_is_zero():
+    coeff = UOSP.coeff
+    assert coeff.from_scalar({}) == coeff.zero() == {}
+    assert coeff.monomial((1, 0, 0, 0), {}) == {}
+    assert UOSP.from_coeff(coeff.from_scalar({})).is_zero()
+
+
+def test_involution_keeps_radicands():
+    coeff = UOSP.coeff
+    i = coeff.imaginary_unit()
+    value = coeff.add(
+        coeff.mul(coeff.mul(_radical_scalar(2), i), coeff.var("a")),
+        coeff.mul(_radical_scalar(3), coeff.mul(coeff.var("b"), coeff.var("b"))),
+    )
+    expected = coeff.add(
+        coeff.mul(coeff.mul(_radical_scalar(2), coeff.neg(i)), coeff.var("ad")),
+        coeff.mul(_radical_scalar(3), coeff.mul(coeff.var("bd"), coeff.var("bd"))),
+    )
+    image = UOSP.coeff_involute(value)
+    assert image == expected
+    assert image == {((0, 1, 0, 0), 2): GaussianRational(0, -1), ((0, 0, 0, 2), 3): GaussianRational(1)}
+    assert UOSP.coeff_involute(image) == value
+
+
+def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
+    """A regression in how many sums a product forms fails here on any machine, however noisy."""
+    p = projector_p(2)
+    calls = Counter()
+    original = scalars.collect
+
+    def counting(ring, pairs):
+        calls["collect"] += 1
+        return original(ring, pairs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("superalg") and getattr(module, "collect", None) is original:
+            monkeypatch.setattr(module, "collect", counting)
+    assert p.compose(p) == p
+    # A radical value nested in each polynomial term made 1,281 sums here, one more per
+    # term product; the flat (exponents, radicand) key makes 410.
+    assert 0 < calls["collect"] <= 410

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superalg
 from superalg.errors import DomainError, ParityError
 from superalg.landi import make_uosp_ring
 from superalg.scalars import GaussianRational, GaussianRationalRing, PolyQuotientRing, RationalRing, Relation
@@ -120,6 +125,30 @@ class TestJets:
     def test_from_dict_refuses_a_degree_that_is_not_a_count(self, degree):
         with pytest.raises(DomainError, match="out of range"):
             Jet.from_dict(1, 2, RR, {(degree,): 1}, base=(0,))
+
+    @pytest.mark.parametrize("degree", ["-1", "Fraction(3, 2)"])
+    def test_continuation_refuses_a_directly_built_degree_that_is_not_a_count(self, degree):
+        """``Jet(...)`` skips ``from_dict``'s check; continuing it must fail, not step past the soul powers forever."""
+        code = (
+            "from fractions import Fraction\n"
+            "from superalg.errors import DomainError\n"
+            "from superalg.scalars import RationalRing\n"
+            "from superalg.superanalysis import Jet, continue_analytically\n"
+            "from superalg.superring import grassmann_ring\n"
+            "ring = grassmann_ring(2)\n"
+            f"jet = Jet(1, 2, RationalRing(), {{({degree},): 1}}, (0,))\n"
+            "try:\n"
+            "    continue_analytically(jet, [ring.odd_gen_at(1) * ring.odd_gen_at(2)])\n"
+            "except DomainError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(superalg.__file__).parent.parent))
+        try:
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+        except subprocess.TimeoutExpired:
+            pytest.fail("continue_analytically did not return")
+        assert done.returncode == 0, done.stderr
+        assert "out of range" in done.stdout
 
 
 class TestGInfinity:
