@@ -21,6 +21,7 @@ import time
 from .errors import ParseError, SuperAlgError
 from .expressions import parse_element
 from .reports import SuiteReport, residual_witness
+from .scalars import digit_limit_error
 from .suites import SUITES, run_suite
 from .supermodule import SuperMorphism, split_idempotent
 from .superring import SuperRing
@@ -42,9 +43,19 @@ def _emit(report: SuiteReport, fmt: str) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _load_ring(path: str) -> SuperRing:
+def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return SuperRing.from_json(json.load(fh))
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the one other error of json.loads: an integer literal past the digit limit
+        raise digit_limit_error(f"a number in {path}") from None
+
+
+def _load_ring(path: str) -> SuperRing:
+    return SuperRing.from_json(_read_json(path))
 
 
 def positive_int(text: str) -> int:
@@ -73,8 +84,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        morphism = SuperMorphism.from_json(json.load(fh))
+    morphism = SuperMorphism.from_json(_read_json(args.file))
     if morphism.source != morphism.target:
         raise SuperAlgError("certification requires a square matrix (source = target)")
     start = time.perf_counter()

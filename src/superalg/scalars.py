@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 import operator
@@ -62,11 +63,41 @@ def collect(ring, pairs) -> dict:
     return {key: value for key, value in out.items() if value}
 
 
+def _digit_limit() -> int:
+    """The most digits Python converts between an integer and text; 0 for no limit (before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _echo(data) -> str:
+    """``repr(data)`` for an error message, cut short when it is long."""
+    shown = repr(data)
+    return shown if len(shown) <= 40 else f"{shown[:30]}... ({len(shown)} characters)"
+
+
+def digit_limit_error(what: str) -> DomainError:
+    """The error for ``what``, a number with an integer past :func:`_digit_limit`."""
+    limit = _digit_limit()
+    return DomainError(f"{what} has more than {limit} digits, the most Python converts to or from text")
+
+
+def _decimal(value) -> str:
+    """``str(value)`` for a number; ``DomainError`` if one of its integers is past the digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # the only error str() of a number raises
+        raise digit_limit_error("a coefficient") from None
+
+
 def _parse_fraction(text) -> Fraction:
     try:
         return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"coefficient {text!r} is not a rational number") from None
+    except ZeroDivisionError:
+        pass
+    except ValueError:
+        limit = _digit_limit()
+        if limit and re.search("[0-9]{%d}" % (limit + 1), str(text)):
+            raise digit_limit_error(f"coefficient {_echo(text)}") from None
+    raise DomainError(f"coefficient {_echo(text)} is not a rational number")
 
 
 class GaussianRational:
@@ -257,6 +288,20 @@ class CoeffRing:
     def mul(self, u, v):
         raise NotImplementedError
 
+    def cleared(self, u, v):
+        """``(ring, d, u2, v2)``: the sparse values ``u`` and ``v`` rescaled for their product.
+
+        A value of ``u2`` times one of ``v2``, in ``ring``, is ``d`` times the
+        product of the two values they came from; :meth:`divided` maps a sum of
+        such products back.  The rationals clear their denominators into the
+        integers when the pairs repay it; every other ring is ``(self, 1, u, v)``.
+        """
+        return self, 1, u, v
+
+    def divided(self, w, d):
+        """The sparse value ``w``, summed in the ring :meth:`cleared` gave, divided by ``d``."""
+        return w
+
     def eq(self, u, v):
         return u == v
 
@@ -268,7 +313,7 @@ class CoeffRing:
         return u
 
     def to_str(self, u):
-        return str(u)
+        return _decimal(u)
 
     def value_to_json(self, u):
         raise NotImplementedError
@@ -298,6 +343,30 @@ def _rational(fr):
     return fr.numerator if fr.denominator == 1 else fr
 
 
+def _integer_multiple(u):
+    """``(d, w)``: ``d`` the lcm of the denominators of the rational value ``u``, ``w`` each value times ``d``."""
+    fractions = [c for c in u.values() if type(c) is not int]  # a Fraction's accessors are not free
+    if not fractions:
+        return 1, u
+    d = math.lcm(*[c.denominator for c in fractions])
+    return d, {k: c * d if type(c) is int else c.numerator * (d // c.denominator) for k, c in u.items()}
+
+
+class _IntegerRing(CoeffRing):
+    """The integers: where rational values with cleared denominators are multiplied and summed."""
+
+    def zero(self):
+        return 0
+
+    # The operators themselves, as in GaussianRationalRing: a product loop enters no ring-level frame.
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+
+
+_INTEGERS = _IntegerRing()
+
+
 class RationalRing(CoeffRing):
     """Rationals; an integral value is stored as an ``int``, any other as a ``Fraction``.
 
@@ -307,6 +376,7 @@ class RationalRing(CoeffRing):
     """
 
     kind = "rational"
+    CLEAR_MIN_PAIRS = 32  # fewer pairs do not repay a pass over each operand and a division per output term
 
     def zero(self):
         return 0
@@ -328,8 +398,22 @@ class RationalRing(CoeffRing):
     def div(self, u, v):
         return _rational(Fraction(u, v))  # u / v would be a float for two ints
 
+    def cleared(self, u, v):
+        """Fraction-free operands: each value times the lcm of its operand's denominators, as an int."""
+        if len(u) * len(v) < self.CLEAR_MIN_PAIRS:
+            return self, 1, u, v
+        du, u2 = _integer_multiple(u)
+        dv, v2 = (du, u2) if v is u else _integer_multiple(v)
+        return _INTEGERS, du * dv, u2, v2
+
+    def divided(self, w, d):
+        """Each integer of ``w`` over ``d``, in stored form; one gcd per term, in ``Fraction``."""
+        if d == 1:
+            return w
+        return {k: n // d if n % d == 0 else Fraction(n, d) for k, n in w.items()}
+
     def value_to_json(self, u):
-        return str(u)
+        return _decimal(u)
 
     def value_from_json(self, data):
         return _rational(_parse_fraction(data))
@@ -362,7 +446,7 @@ class GaussianRationalRing(CoeffRing):
         return u.conj()
 
     def value_to_json(self, u):
-        return {"re": str(u.re), "im": str(u.im)}
+        return {"re": _decimal(u.re), "im": _decimal(u.im)}
 
     def value_from_json(self, data):
         data = json_mapping(data, "a Gaussian value", "re", "im")
@@ -468,14 +552,14 @@ class RadicalGaussianRing(CoeffRing):
         parts = []
         for s in sorted(u):
             c = u[s]
-            cs = str(c)
+            cs = _decimal(c)
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
             parts.append(cs if s == 1 else (f"sqrt({s})" if cs == "1" else f"{cs}*sqrt({s})"))
         return " + ".join(parts)
 
     def value_to_json(self, u):
-        return [{"rad": s, "re": str(c.re), "im": str(c.im)} for s, c in sorted(u.items())]
+        return [{"rad": s, "re": _decimal(c.re), "im": _decimal(c.im)} for s, c in sorted(u.items())]
 
     def value_from_json(self, data):
         """Radicands are split to squarefree form and repeats are summed."""
@@ -743,7 +827,10 @@ def json_names(data, what: str) -> tuple:
 def _json_int(data):
     """``data`` as an ``int`` if it is a string of decimal digits, else ``data`` unchanged."""
     if isinstance(data, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", data):
-        return int(data)
+        try:
+            return int(data)
+        except ValueError:
+            raise digit_limit_error(f"integer {_echo(data)}") from None
     return data
 
 

@@ -340,35 +340,43 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
         support |= b
     # The root may be supported anywhere inside the closure of z's support,
     # including masks where z itself is zero.
-    masks = sorted(
-        (b for b in _submasks(support) if b and b.bit_count() % 2 == 0),
-        key=lambda b: (b.bit_count(), b),
-    )
+    grades = {}
+    for b in _submasks(support):
+        if b and b.bit_count() % 2 == 0:
+            grades.setdefault(b.bit_count(), []).append(b)
     coeffs = {0: root0}
-    for lam in masks:
-        low = lam & -lam
-        rest = lam ^ low
-        half = coeff.zero()
-        # Sum over partitions mu | nu = lam with low in mu and nu nonzero:
-        # mu = low | sub for the proper submasks sub of rest.
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            mu = low | sub
-            if mu.bit_count() & 1:
-                continue  # odd mu and nu carry no coefficient
-            nu = rest ^ sub
-            xmu = coeffs.get(mu)
-            xnu = coeffs.get(nu)
-            if xmu is not None and xnu is not None:
-                term = coeff.mul(xmu, xnu)
-                if (mi.sign_mask(mu) & nu).bit_count() & 1:
-                    term = coeff.neg(term)
-                half = coeff.add(half, term)
-        acc = coeff.sub(z.terms.get(lam, coeff.zero()), coeff.add(half, half))
-        value = coeff.mul(acc, inverse)
-        if value:
-            coeffs[lam] = value
+    for grade in sorted(grades):
+        # Every partition of a mask of this grade has parts of lower grades, all
+        # solved: clear their denominators once and sum the partitions in ``sums``.
+        sums, d, x, _ = coeff.cleared(coeffs, coeffs)
+        mul, add, neg = sums.mul, sums.add, sums.neg
+        halves = {}
+        for lam in grades[grade]:
+            low = lam & -lam
+            rest = lam ^ low
+            half = sums.zero()
+            # Sum over partitions mu | nu = lam with low in mu and nu nonzero:
+            # mu = low | sub for the proper submasks sub of rest.
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                mu = low | sub
+                if mu.bit_count() & 1:
+                    continue  # odd mu and nu carry no coefficient
+                nu = rest ^ sub
+                xmu = x.get(mu)
+                xnu = x.get(nu)
+                if xmu is not None and xnu is not None:
+                    term = mul(xmu, xnu)
+                    half = add(half, neg(term) if (mi.sign_mask(mu) & nu).bit_count() & 1 else term)
+            if half:
+                halves[lam] = half
+        halves = coeff.divided(halves, d)  # only the nonzero sums become rationals
+        for lam in grades[grade]:
+            half = halves.get(lam, coeff.zero())
+            acc = coeff.sub(z.terms.get(lam, coeff.zero()), coeff.add(half, half))
+            if acc:  # a ring with ``div`` is a field, so only a zero ``acc`` gives a zero coefficient
+                coeffs[lam] = coeff.mul(acc, inverse)
     x = ring.element(coeffs)
     if x * x != z:
         raise DomainError("square-root recursion failed to verify")  # arithmetic bug

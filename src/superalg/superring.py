@@ -16,6 +16,15 @@ monomials is the parity mask of :func:`~superalg.multiindex.sign_mask`:
 ``*`` applies it inline, one mask per left term, and the involution through
 :func:`~superalg.multiindex.merge_bits`.  :meth:`SuperElement.scale`
 multiplies coefficients.
+
+A product over the rationals is fraction-free once its operands have
+``RationalRing.CLEAR_MIN_PAIRS`` pairs: ``*`` asks the coefficient ring to
+clear each operand's denominators once (``CoeffRing.cleared``: an operand's
+values become ints, times the lcm of its denominators), multiplies and sums
+the term products as ints, and divides each output term once by the product
+of the two lcms (``CoeffRing.divided``), back to the stored form.  A smaller
+product, and a product over any other ring, is computed in the coefficient
+ring itself, through the same loop.
 """
 
 from __future__ import annotations
@@ -253,7 +262,7 @@ class SuperElement:
     def _check(self, other):
         if not isinstance(other, SuperElement):
             raise TypeError(f"cannot combine SuperElement with {type(other).__name__}")
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:  # ``is`` first: ``!=`` is a Python call
             raise RingMismatchError("operands belong to different rings")
 
     def __add__(self, other):
@@ -273,13 +282,16 @@ class SuperElement:
             return self.scale(Fraction(other))
         self._check(other)
         coeff = self.ring.coeff
-        mul, neg = coeff.mul, coeff.neg
-        right = other.terms.items()
+        # Over Q a product with enough pairs is summed in ints: denominators are
+        # cleared once per operand and divided out once per output term.
+        ring, d, left, right = coeff.cleared(self.terms, other.terms)
+        mul, neg = ring.mul, ring.neg
+        right = right.items()
 
         def products():
             # merge_bits inlined: one sign mask per left term, then one AND and
             # one popcount per pair.
-            for b1, c1 in self.terms.items():
+            for b1, c1 in left.items():
                 mask = mi.sign_mask(b1)
                 for b2, c2 in right:
                     if b1 & b2:
@@ -287,7 +299,7 @@ class SuperElement:
                     c = mul(c1, c2)
                     yield b1 | b2, (neg(c) if (mask & b2).bit_count() & 1 else c)
 
-        return SuperElement(self.ring, collect(coeff, products()))
+        return SuperElement(self.ring, coeff.divided(collect(ring, products()), d))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

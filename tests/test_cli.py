@@ -503,3 +503,31 @@ def test_eval_division_by_zero_exit_two(capsys, grassmann_ring_file):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error:")
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # 0: this Python converts integers of any length
+
+
+def _certify_coefficient(path, coeff_text):
+    data = make_sphere_projector(1).g.to_json()
+    data["matrix"][0][0][0]["coeff"] = "@"
+    path.write_text(json.dumps(data).replace('"@"', coeff_text))
+    return ["certify", str(path)]
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit in this Python")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", ["print", "read-string", "read-literal"])
+def test_coefficient_past_the_digit_limit_is_named(capsys, tmp_path, grassmann_ring_file, fmt, case):
+    """Python will not convert an integer of more than DIGIT_LIMIT digits to or from text; exit 2 names it."""
+    digits = "7" * 5000
+    path = tmp_path / "g.json"
+    if case == "print":  # 2^20000 has 6,021 digits
+        argv, message = ["eval", "(2+b1*b2)^20000", "--ring", grassmann_ring_file], "a coefficient"
+    elif case == "read-string":
+        argv, message = _certify_coefficient(path, f'"{digits}"'), "coefficient '" + "7" * 29 + "... (5002 characters)"
+    else:
+        argv, message = _certify_coefficient(path, digits), f"a number in {path}"
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
