@@ -84,7 +84,7 @@ def make_bra(n: int, ring: SuperRing = None) -> BraVector:
 
 def inner(bra: BraVector) -> SuperElement:
     """``<psi|psi> = sum_i psi_i * psi_i**``; equals 1 for every bra level."""
-    return bra.ring.sum(psi * psi.involute() for psi in bra.entries)
+    return bra.ring.sum_of_products((psi, psi.involute()) for psi in bra.entries)
 
 
 def ket_entries(bra: BraVector) -> tuple:
@@ -104,5 +104,5 @@ def pi_apply(bra: BraVector, v: ModElement) -> ModElement:
     """The rank-one projection ``v -> |psi> * <psi|v>``."""
     if v.ftype != bra.ftype:
         raise DomainError("element type does not match the bra")
-    pairing = bra.ring.sum(psi * c for psi, c in zip(bra.entries, v.coeffs))
+    pairing = bra.ring.sum_of_products(zip(bra.entries, v.coeffs))
     return ModElement(bra.ring, bra.ftype, [ki * pairing for ki in bra.ket])

@@ -4,7 +4,11 @@ All arithmetic is exact.  Four scalar kinds are provided: rationals,
 Gaussian rationals, integers mod n, and Gaussian rationals extended by
 formal square roots of positive integers.  On top of any scalar kind sits
 ``PolyQuotientRing``: a commutative polynomial ring with at most one
-quadratic relation, rewritten to a canonical normal form.
+quadratic relation, rewritten to a canonical normal form.  A normal form is
+made in three steps, for one value or for a whole sum of products at once
+(``PolyQuotientRing.sum_of_products``): collect the terms, rewrite the
+relation's lead product out of each collected term, and collect the
+rewritten terms with the rest.
 
 Every coefficient ring has the interface of :class:`CoeffRing`.  A scalar
 ring reads as a polynomial ring in no variables over itself: no
@@ -33,7 +37,9 @@ it after an ``is`` test.
 Every sparse sum in the package -- radical values, quotient polynomials,
 super ring elements and jets -- is formed by :func:`collect`, which is also
 the one place where zero coefficients are dropped.  The values it receives
-must already be in their ring's normal form; it only adds them.
+must already be in their ring's normal form; it only adds them.  A quotient
+collects its terms' base scalars before and after the relation rewrites
+them.
 """
 
 from __future__ import annotations
@@ -680,41 +686,77 @@ class PolyQuotientRing(CoeffRing):
             self._rhs_powers.append(self.mul(self._rhs_powers[-1], self.relation.rhs))
         return self._rhs_powers[k]
 
-    def _products(self, terms, others):
-        """The product of every ``(key, scalar)`` pair in ``terms`` with every one in ``others``, unsummed."""
+    def _products(self, products):
+        """Every term product of ``(tag, negate, u, v)`` quadruples, unsummed, as ``((tag, key), scalar)``."""
         add = operator.add
         if self._flat:
-            for (e1, s), c1 in terms:
-                for (e2, t), c2 in others:
-                    r, c = radical_product(s, t, c1 * c2)
-                    yield (tuple(map(add, e1, e2)), r), c
+            for tag, negate, u, v in products:
+                right = v.items()
+                for (e1, s), c1 in u.items():
+                    if negate:
+                        c1 = -c1
+                    for (e2, t), c2 in right:
+                        r, c = radical_product(s, t, c1 * c2)
+                        yield (tag, (tuple(map(add, e1, e2)), r)), c
         else:
-            mul = self.base.mul
-            for e1, c1 in terms:
-                for e2, c2 in others:
-                    yield tuple(map(add, e1, e2)), mul(c1, c2)
+            mul, neg = self.base.mul, self.base.neg
+            for tag, negate, u, v in products:
+                right = v.items()
+                for e1, c1 in u.items():
+                    if negate:
+                        c1 = neg(c1)
+                    for e2, c2 in right:
+                        yield (tag, tuple(map(add, e1, e2))), mul(c1, c2)
 
-    def _rewritten(self, terms):
-        """Rewrite the lead product ``k`` times out of each ``(key, scalar)`` term; yields the results."""
+    def _normal_form(self, terms):
+        """The normal form of a sum of ``((tag, key), scalar)`` pairs, tag by tag, keyed as they are.
+
+        The terms are collected, the lead product is rewritten ``k`` times out
+        of each collected term (``head * rhs**k``, already in normal form), and
+        the result is collected again, so a term that several products share
+        is rewritten once.
+        """
+        terms = collect(self._scalars, terms)
+        if self.relation is None:
+            return terms
         flat = self._flat
         i, j = self._heads
-        for key, c in terms:
+        kept, rewrites = [], []
+        for tagged, c in terms.items():
+            tag, key = tagged
             exps = key[0] if flat else key
             k = exps[i] // 2 if i == j else min(exps[i], exps[j])
             if k == 0:
-                yield key, c
+                kept.append((tagged, c))
                 continue
             exps = list(exps)
             exps[i] -= k
             exps[j] -= k
             head = (tuple(exps), key[1]) if flat else tuple(exps)
-            yield from self._products(((head, c),), self._rhs_power(k).items())
+            rewrites.append((tag, False, {head: c}, self._rhs_power(k)))
+        if not rewrites:
+            return terms
+        return collect(self._scalars, chain(kept, self._products(rewrites)))
 
     def normal_form_dict(self, terms):
-        """The normal form of the sum of ``(key, scalar)`` pairs, in one :func:`collect` pass."""
-        if self.relation is not None:
-            terms = self._rewritten(terms)
-        return collect(self._scalars, terms)
+        """The normal form of the sum of ``(key, scalar)`` pairs: collect, rewrite, collect."""
+        return {key: c for (_, key), c in self._normal_form(((None, key), c) for key, c in terms).items()}
+
+    def sum_of_products(self, products) -> dict:
+        """``{tag: value}``: the normal form of the sum of ``±u*v`` over ``(tag, negate, u, v)`` quadruples.
+
+        Every term product is formed in one loop, keyed by ``(tag, term key)``,
+        and normalized once (:meth:`_normal_form`) however many quadruples
+        share a tag; a tag whose sum is zero is absent.
+        """
+        out = {}
+        for (tag, key), c in self._normal_form(self._products(products)).items():
+            value = out.get(tag)
+            if value is None:
+                out[tag] = {key: c}
+            else:
+                value[key] = c
+        return out
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -725,7 +767,7 @@ class PolyQuotientRing(CoeffRing):
         return {e: self._scalars.neg(c) for e, c in u.items()}
 
     def mul(self, u, v):
-        return self.normal_form_dict(self._products(u.items(), v.items()))
+        return self.sum_of_products(((None, False, u, v),)).get(None, {})
 
     def conj(self, u):
         return {e: self._scalars.conj(c) for e, c in u.items()}

@@ -112,10 +112,7 @@ class SuperMorphism:
         if other.ring != self.ring:
             raise RingMismatchError("morphisms over different rings")
         columns = [[row[k] for row in other.matrix] for k in range(other.source.size)]
-        rows = [
-            [self.ring.sum(a * b for a, b in zip(row, column)) for column in columns]
-            for row in self.matrix
-        ]
+        rows = [[self.ring.sum_of_products(zip(row, column)) for column in columns] for row in self.matrix]
         return other._like(other.source, self.target, rows)
 
     def __add__(self, other):

@@ -12,10 +12,19 @@ always have grade 0; the parity of a term is the parity of its odd monomial.
 Each element-layer rule is written once.  Sums go through
 :func:`~superalg.scalars.collect`: :meth:`SuperRing.sum` for any number of
 elements, and ``+`` as its two-element case.  The sign of a product of odd
-monomials is the parity mask of :func:`~superalg.multiindex.sign_mask`:
-``*`` applies it inline, one mask per left term, and the involution through
+monomials is the parity mask of :func:`~superalg.multiindex.sign_mask`, one
+mask per left term; the involution takes its signs from
 :func:`~superalg.multiindex.merge_bits`.  :meth:`SuperElement.scale`
 multiplies coefficients.
+
+A sum of products, :meth:`SuperRing.sum_of_products`, is how ``*``,
+morphism composition and the supersphere pairings multiply over a quotient
+coefficient ring: the term products of every pair are formed in one loop,
+keyed by (odd bitmask, coefficient term), then collected, rewritten by the
+ring's relation and collected once for the whole sum
+(:meth:`~superalg.scalars.PolyQuotientRing.sum_of_products`), and regrouped
+by bitmask.  ``x * y`` is the one-pair case.  Over a scalar coefficient
+ring ``*`` forms each product inline and a sum of products sums them.
 
 A product over the rationals is fraction-free once its operands have
 ``RationalRing.CLEAR_MIN_PAIRS`` pairs: ``*`` asks the coefficient ring to
@@ -23,8 +32,8 @@ clear each operand's denominators once (``CoeffRing.cleared``: an operand's
 values become ints, times the lcm of its denominators), multiplies and sums
 the term products as ints, and divides each output term once by the product
 of the two lcms (``CoeffRing.divided``), back to the stored form.  A smaller
-product, and a product over any other ring, is computed in the coefficient
-ring itself, through the same loop.
+product, and a product over any other scalar ring, is computed in the
+coefficient ring itself, through the same loop.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from . import multiindex as mi
 from .errors import CapacityError, DomainError, RingMismatchError
 from .scalars import (
     CoeffRing,
+    PolyQuotientRing,
     coeff_ring_from_json,
     collect,
     json_count,
@@ -92,6 +102,7 @@ class SuperRing:
         if "i" in odd_names and coeff.imaginary_unit() is not None:
             raise DomainError("odd generator 'i' would read as the imaginary unit of the coefficient ring")
         self.coeff = coeff
+        self._quotient = isinstance(coeff, PolyQuotientRing)
         self.odd_names = odd_names
         self._odd_pos = {name: i for i, name in enumerate(odd_names)}
         self.involution = involution
@@ -146,20 +157,49 @@ class SuperRing:
     def zero(self) -> "SuperElement":
         return SuperElement(self, {})
 
+    def _own(self, x) -> "SuperElement":
+        """``x`` if it is an element of this ring; ``TypeError`` or ``RingMismatchError`` otherwise."""
+        if not isinstance(x, SuperElement):
+            raise TypeError(f"cannot combine SuperElement with {type(x).__name__}")
+        if x.ring is not self and x.ring != self:  # ``is`` first: ``!=`` is a Python call
+            raise RingMismatchError("operands belong to different rings")
+        return x
+
     def sum(self, elements) -> "SuperElement":
         """The sum of ``elements``, in one ``collect`` pass over all their terms.
 
         An empty input gives zero; an element of another ring raises
-        ``RingMismatchError``.
+        ``RingMismatchError``, and anything else ``TypeError``.
         """
+        terms = (self._own(x).terms.items() for x in elements)
+        return SuperElement(self, collect(self.coeff, chain.from_iterable(terms)))
 
-        def terms():
-            for x in elements:
-                if x.ring != self:
-                    raise RingMismatchError("operands belong to different rings")
-                yield from x.terms.items()
+    def sum_of_products(self, pairs) -> "SuperElement":
+        """The sum of ``x * y`` over the ``(x, y)`` pairs; zero for no pairs.
 
-        return SuperElement(self, collect(self.coeff, terms()))
+        Over a quotient coefficient ring ``x * y`` is the one-pair case: every
+        term product of every pair is formed in one loop, keyed by odd bitmask
+        and coefficient term, and the sum is collected, rewritten by the
+        relation and collected once (:meth:`PolyQuotientRing.sum_of_products`).
+        Over a scalar ring the products are formed by ``*`` and summed.  An
+        operand of another ring raises ``RingMismatchError``; one that is not
+        an element, ``TypeError``.
+        """
+        own = self._own
+        if not self._quotient:
+            return self.sum(own(x) * own(y) for x, y in pairs)
+
+        def products():
+            # The sign rule of SuperElement.__mul__, per pair of odd monomials.
+            for x, y in pairs:
+                right = own(y).terms.items()
+                for b1, c1 in own(x).terms.items():
+                    mask = mi.sign_mask(b1)
+                    for b2, c2 in right:
+                        if not b1 & b2:
+                            yield b1 | b2, (mask & b2).bit_count() & 1, c1, c2
+
+        return SuperElement(self, self.coeff.sum_of_products(products()))
 
     def one(self) -> "SuperElement":
         return self.from_fraction(1)
@@ -259,14 +299,8 @@ class SuperElement:
 
     # -- ring plumbing --------------------------------------------------------
 
-    def _check(self, other):
-        if not isinstance(other, SuperElement):
-            raise TypeError(f"cannot combine SuperElement with {type(other).__name__}")
-        if self.ring is not other.ring and self.ring != other.ring:  # ``is`` first: ``!=`` is a Python call
-            raise RingMismatchError("operands belong to different rings")
-
     def __add__(self, other):
-        self._check(other)
+        self.ring._own(other)
         terms = chain(self.terms.items(), other.terms.items())
         return SuperElement(self.ring, collect(self.ring.coeff, terms))
 
@@ -280,10 +314,13 @@ class SuperElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(other))
-        self._check(other)
+        if self.ring._quotient:
+            return self.ring.sum_of_products(((self, other),))
+        self.ring._own(other)
         coeff = self.ring.coeff
-        # Over Q a product with enough pairs is summed in ints: denominators are
-        # cleared once per operand and divided out once per output term.
+        # Over a scalar ring each pair is multiplied inline.  Over Q a product
+        # with enough pairs is summed in ints: denominators are cleared once
+        # per operand and divided out once per output term.
         ring, d, left, right = coeff.cleared(self.terms, other.terms)
         mul, neg = ring.mul, ring.neg
         right = right.items()
@@ -299,7 +336,8 @@ class SuperElement:
                     c = mul(c1, c2)
                     yield b1 | b2, (neg(c) if (mask & b2).bit_count() & 1 else c)
 
-        return SuperElement(self.ring, coeff.divided(collect(ring, products()), d))
+        terms = collect(ring, products())
+        return SuperElement(self.ring, terms if d == 1 else coeff.divided(terms, d))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

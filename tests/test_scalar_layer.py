@@ -291,19 +291,30 @@ def test_involution_keeps_radicands():
 
 
 def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
-    """A regression in how many sums a product forms fails here on any machine, however noisy."""
+    """A regression in how many sums or Gaussian products a composition forms fails here on any machine."""
     p = projector_p(2)
     calls = Counter()
     original = scalars.collect
+    gaussian_product = GaussianRational.__mul__
 
     def counting(ring, pairs):
         calls["collect"] += 1
         return original(ring, pairs)
 
+    def counting_product(u, v):
+        calls["gaussian"] += 1
+        return gaussian_product(u, v)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("superalg") and getattr(module, "collect", None) is original:
             monkeypatch.setattr(module, "collect", counting)
+    monkeypatch.setattr(GaussianRational, "__mul__", counting_product)
     assert p.compose(p) == p
     # A radical value nested in each polynomial term made 1,281 sums here, one more per
-    # term product; the flat (exponents, radicand) key makes 410.
-    assert 0 < calls["collect"] <= 410
+    # term product; the flat (exponents, radicand) key made 410, a sum per element product
+    # and per coefficient product.  One sum of products per entry of the 5x5 result,
+    # collected before and after the relation rewrites it, makes at most 2 per entry.
+    assert 0 < calls["collect"] <= 2 * 5 * 5
+    # Rewriting each term product before collecting made 550 Gaussian products here;
+    # collecting first rewrites each distinct term once.
+    assert 0 < calls["gaussian"] <= 480
