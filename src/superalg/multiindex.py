@@ -57,11 +57,17 @@ def sign_mask(mu: int) -> int:
     A pair (i in mu, j in nu) with i > j is one inversion when the
     concatenation mu ++ nu is sorted, so ``(sign_mask(mu) & nu).bit_count()``
     has the parity of the inversion count.  Six shift-XOR steps cover the
-    64-bit capacity.
+    64-bit capacity; below ``2**16`` the last two change nothing and are
+    skipped.
     """
     x = mu >> 1
-    for shift in (1, 2, 4, 8, 16, 32):
-        x ^= x >> shift
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    x ^= x >> 8
+    if x >> 16:
+        x ^= x >> 16
+        x ^= x >> 32
     return x
 
 

@@ -26,6 +26,20 @@ ring's relation and collected once for the whole sum
 by bitmask.  ``x * y`` is the one-pair case.  Over a scalar coefficient
 ring ``*`` forms each product inline and a sum of products sums them.
 
+Over a scalar ring ``*`` visits only term pairs that can be nonzero.  For a
+left term ``b1`` the right terms it meets are disjoint from ``b1``: they are
+either scanned, or, when ``b1`` leaves few bits free, found by looking up the
+submasks of the free bits (``sub = (sub - 1) & free`` down to 0).  A lookup
+costs about three steps of a scan, so the submasks are walked when there are
+fewer than a third as many of them as right terms.  A square ``x * x`` forms
+each unordered pair of terms once and doubles it, and skips a pair of two odd
+monomials, whose two orders cancel; both rest on the coefficients commuting,
+which every :class:`~superalg.scalars.CoeffRing` here does.  The pair of the
+body with itself is added once.  A square of fewer than 16 terms is formed
+like any product, where sorting its terms would cost more than it saves.  On
+a dense even element at L=10 a square makes half the coefficient products of
+the general product.
+
 A product over the rationals is fraction-free once its operands have
 ``RationalRing.CLEAR_MIN_PAIRS`` pairs: ``*`` asks the coefficient ring to
 clear each operand's denominators once (``CoeffRing.cleared``: an operand's
@@ -40,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 from . import multiindex as mi
 from .errors import CapacityError, DomainError, RingMismatchError
@@ -103,6 +117,9 @@ class SuperRing:
             raise DomainError("odd generator 'i' would read as the imaginary unit of the coefficient ring")
         self.coeff = coeff
         self._quotient = isinstance(coeff, PolyQuotientRing)
+        # Only a ring that overrides ``cleared`` (the rationals) can move a product out of itself.
+        self._clears = type(coeff).cleared is not CoeffRing.cleared
+        self._full = (1 << len(odd_names)) - 1
         self.odd_names = odd_names
         self._odd_pos = {name: i for i, name in enumerate(odd_names)}
         self.involution = involution
@@ -281,6 +298,43 @@ class SuperRing:
         return f"SuperRing({self.coeff.to_json()}, odd={self.odd_names})"
 
 
+# Steps of a scan that one looked-up submask costs: measured on products at
+# L=10, walking the submasks of ``free`` and scanning ``n`` terms break even
+# near n = 2.5 * 2**|free|.
+_LOOKUP_COST = 3
+# A square of fewer terms is formed as a product of two operands: splitting
+# and sorting its terms costs more than the pairs it would save (measured on
+# sparse squares at L=6 and dense ones at L=3..7).
+_SQUARE_MIN_TERMS = 16
+
+
+def _walk_grade(L, n):
+    """The least grade of a left term whose free submasks are looked up among ``n`` right terms.
+
+    A term of grade ``g`` leaves ``k = L - g`` of the ``L`` bits free, and
+    its ``2**k`` submasks are walked when ``_LOOKUP_COST << k < n``.
+    """
+    return L + 1 - ((n - 1) // _LOOKUP_COST).bit_length() if n else L + 1
+
+
+def _submask_terms(free, terms, lo):
+    """The ``(b2, c2)`` of the dict ``terms`` with ``b2`` a submask of ``free`` and ``b2 >= lo``.
+
+    The submasks are walked from ``free`` down, ``sub = (sub - 1) & free``,
+    to ``lo`` or to 0 inclusive.
+    """
+    found, get = [], terms.get
+    sub = free
+    while sub >= lo:
+        c2 = get(sub)
+        if c2 is not None:
+            found.append((sub, c2))
+        if not sub:
+            break
+        sub = (sub - 1) & free
+    return found
+
+
 def grassmann_ring(L: int, coeff: CoeffRing = None) -> SuperRing:
     """The Grassmann algebra on ``L`` odd generators over ``coeff``."""
     from .scalars import RationalRing
@@ -317,20 +371,51 @@ class SuperElement:
         if self.ring._quotient:
             return self.ring.sum_of_products(((self, other),))
         self.ring._own(other)
-        coeff = self.ring.coeff
+        if not self.terms or not other.terms:
+            return SuperElement(self.ring, {})
+        coeff, full = self.ring.coeff, self.ring._full
+        L = full.bit_length()
         # Over a scalar ring each pair is multiplied inline.  Over Q a product
         # with enough pairs is summed in ints: denominators are cleared once
         # per operand and divided out once per output term.
-        ring, d, left, right = coeff.cleared(self.terms, other.terms)
+        if self.ring._clears:
+            ring, d, left, right = coeff.cleared(self.terms, other.terms)
+        else:
+            ring, d, left, right = coeff, 1, self.terms, other.terms
         mul, neg = ring.mul, ring.neg
-        right = right.items()
+        if other is self and len(left) >= _SQUARE_MIN_TERMS:
+            # A square forms each unordered pair {b1, b2} of terms once, doubled:
+            # with commuting coefficients the pair gives c1*c2*(t1*t2 + t2*t1),
+            # which is twice t1*t2 unless both monomials are odd, and then 0.
+            # So, with c1 doubled, each odd b1 meets every even b2 and each even
+            # b1 the even b2 > b1; (0, 0), the one pair of a term with itself,
+            # enters once, undoubled.
+            even = sorted((b, c) for b, c in left.items() if not b.bit_count() & 1)
+            even_terms, add, n = dict(even), ring.add, len(even)
+            body = {0: left[0]} if 0 in left else {}
+            every_even = (even, even_terms, 0, _walk_grade(L, n))
+            plan = chain(
+                zip(body.items(), repeat((body.items(), body, 0, L + 1))),
+                (((b1, add(c1, c1)), every_even) for b1, c1 in left.items() if b1.bit_count() & 1),
+                (
+                    ((b1, add(c1, c1)), (even[i + 1:], even_terms, b1 + 1, _walk_grade(L, n - i - 1)))
+                    for i, (b1, c1) in enumerate(even)
+                ),
+            )
+        else:
+            plan = zip(left.items(), repeat((right.items(), right, 0, _walk_grade(L, len(right)))))
 
         def products():
-            # merge_bits inlined: one sign mask per left term, then one AND and
+            # One entry of the plan is a left term b1 and the right terms b2 >= lo
+            # it meets: ``items``, or, when b1 has at least ``grade`` bits, those
+            # of the submasks of its free bits found in the dict ``terms``.
+            # merge_bits is inlined: one sign mask per entry, then one AND and
             # one popcount per pair.
-            for b1, c1 in left.items():
+            for (b1, c1), (items, terms, lo, grade) in plan:
+                if b1.bit_count() >= grade:
+                    items = _submask_terms(full & ~b1, terms, lo)
                 mask = mi.sign_mask(b1)
-                for b2, c2 in right:
+                for b2, c2 in items:
                     if b1 & b2:
                         continue
                     c = mul(c1, c2)

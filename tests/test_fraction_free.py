@@ -7,16 +7,18 @@ The oracle here multiplies every pair of terms as ``Fraction``s, with the
 sign counted pair by pair.  The ``regime`` fixture runs each case as it
 comes and again with every product cleared.  Every result must keep the
 stored form: ``int`` exactly when integral, and no zero stored.  A pinned
-count fails if a dense product falls back to per-pair rational arithmetic.
+count fails if a dense product falls back to per-pair rational arithmetic,
+and another if a dense square forms more than one product per unordered pair.
 """
 
 import random
 from collections import Counter
+from copy import copy
 from fractions import Fraction
 
 import pytest
 
-from superalg.scalars import RationalRing
+from superalg.scalars import _INTEGERS, RationalRing
 from superalg.superanalysis import sqrt_even, sqrt_even_binomial
 from superalg.superring import grassmann_ring
 
@@ -185,3 +187,30 @@ def test_dense_square_makes_no_rational_ring_call(monkeypatch):
     assert constructed["Fraction"] <= len(square.terms)  # at most one per output term
     assert square.terms == reference_product(theta, theta)
 
+
+def test_dense_square_forms_each_unordered_pair_once(monkeypatch):
+    """``x * x`` on all 512 even masks at L=10 forms each of the 7,381 unordered disjoint pairs once, plus (0, 0).
+
+    The general product, ``x * copy(x)``, forms all 14,763 ordered disjoint pairs.
+    """
+    rng = random.Random(1)
+    ring = grassmann_ring(10)
+    x = ring.element({
+        b: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+        for b in range(1 << 10)
+        if b.bit_count() % 2 == 0
+    })
+    calls = Counter()
+
+    def counting(u, v):
+        calls["mul"] += 1
+        return u * v
+
+    monkeypatch.setattr(_INTEGERS, "mul", counting)
+    square = x * x
+    assert calls["mul"] <= 7382
+    calls.clear()
+    general = x * copy(x)
+    assert calls["mul"] == 14763
+    monkeypatch.undo()
+    assert square == general
