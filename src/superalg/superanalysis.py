@@ -40,6 +40,8 @@ class SuperPoint:
         for x in self.odds:
             if not x.is_zero() and x.parity() != 1:
                 raise ParityError("odd coordinates must be odd elements")
+        if not self.evens + self.odds:
+            raise DomainError("a point with no coordinates has no ring")
 
     @property
     def arity(self):
@@ -126,6 +128,8 @@ class Jet:
 
     def derivative(self, axis: int = 0):
         """The jet of the partial derivative along ``axis``; order drops by one."""
+        if not (type(axis) is int and 0 <= axis < self.arity):
+            raise DomainError(f"axis {axis} out of range for arity {self.arity}")
         out = {}
         for k, v in self.table.items():
             if k[axis]:
@@ -139,12 +143,18 @@ class Jet:
 def continue_analytically(jet: Jet, xs) -> SuperElement:
     """Grassmann analytic continuation: the finite Taylor sum over souls."""
     xs = list(xs)
+    if not xs:
+        raise DomainError("continuation needs an even coordinate to fix its ring")
+    return _continue(jet, xs, xs[0].ring)
+
+
+def _continue(jet: Jet, xs, ring) -> SuperElement:
+    """:func:`continue_analytically` in ``ring``, where an arity-0 jet continues to its constant."""
     if len(xs) != jet.arity:
         raise DomainError(f"expected {jet.arity} even coordinates, got {len(xs)}")
-    ring = xs[0].ring
     if ring.coeff != jet.ring:
         raise DomainError("jet values and coordinates live over different coefficient rings")
-    souls = []
+    powers = []
     for i, x in enumerate(xs):
         if x.parity() != 0:
             raise ParityError("continuation arguments must be even")
@@ -154,9 +164,7 @@ def continue_analytically(jet: Jet, xs) -> SuperElement:
                 raise DomainError("symbolic-base jets accept pure souls only")
         elif not ring.coeff.eq(constant, jet.base[i]):
             raise DomainError("body of the argument does not match the jet base point")
-        souls.append(SuperElement(ring, {b: c for b, c in x.terms.items() if b}))
-
-    powers = [{1: soul} for soul in souls]
+        powers.append({1: SuperElement(ring, {b: c for b, c in x.terms.items() if b})})
 
     def soul_power(memo, d):
         """``s^d``, kept for this call in ``memo = {k: s^k}`` and filled upward by ``s^k = s^(k-2) s^2``."""
@@ -202,11 +210,11 @@ def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
     """``sum_mu continuation(jet_mu)(x) * xi_mu`` with factors in index order."""
     if len(point.odds) != fn.odd_arity:
         raise DomainError("odd arity mismatch")
-    ring = point.evens[0].ring if point.evens else point.odds[0].ring
+    ring = (point.evens + point.odds)[0].ring
 
     def terms():
         for bits, jet in fn.jets.items():
-            term = continue_analytically(jet, point.evens)
+            term = _continue(jet, point.evens, ring)
             for i in mi.indices_from_bits(bits):
                 term = term * point.odds[i - 1]
             yield term
@@ -289,15 +297,6 @@ def super_cos(theta: SuperElement) -> SuperElement:
 # -- even square roots and the supercircle -----------------------------------------
 
 
-def _submasks(bits: int):
-    mu = bits
-    while True:
-        yield mu
-        if mu == 0:
-            return
-        mu = (mu - 1) & bits
-
-
 def fraction_sqrt(fr: Fraction) -> Fraction:
     """Exact square root of a nonnegative rational, or DomainError."""
     fr = Fraction(fr)
@@ -314,11 +313,11 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
     """The even square root with prescribed body, by induction on index length.
 
     Solves ``x_lam = (z_lam - sum over proper partitions mu|nu of lam of
-    sign(mu,nu) x_mu x_nu) / (2 x_0)`` in increasing index length; the result
-    is verified by squaring.  Only even ``mu, nu`` carry a coefficient, and
-    for those ``x_mu x_nu = x_nu x_mu``, so each unordered partition is
-    visited once, with ``mu`` holding the lowest bit of ``lam``, and the sum
-    is doubled.
+    sign(mu,nu) x_mu x_nu) / (2 x_0)`` in increasing index length, for each
+    mask ``lam`` the root can reach; the result is verified by squaring.  Only
+    even ``mu, nu`` carry a coefficient, and for those ``x_mu x_nu = x_nu
+    x_mu``, so each unordered partition is visited once, with ``mu`` holding
+    the lowest bit of ``lam``, and the sum is doubled.
     """
     ring = z.ring
     coeff = ring.coeff
@@ -335,15 +334,15 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
         raise DomainError("the coefficient ring does not support exact division")
     inverse = coeff.div(coeff.one(), double)
 
-    support = 0
-    for b in z.terms:
-        support |= b
-    # The root may be supported anywhere inside the closure of z's support,
-    # including masks where z itself is zero.
+    # The root, root0 times a series in powers of z's soul, can reach only the unions of
+    # pairwise disjoint masks of z; a mask already reached adds no union not already there.
+    reach = {0}
+    for b in sorted(z.terms, key=int.bit_count):
+        if b not in reach:
+            reach |= {r | b for r in reach if not r & b}
     grades = {}
-    for b in _submasks(support):
-        if b and b.bit_count() % 2 == 0:
-            grades.setdefault(b.bit_count(), []).append(b)
+    for b in reach - {0}:
+        grades.setdefault(b.bit_count(), []).append(b)
     coeffs = {0: root0}
     for grade in sorted(grades):
         # Every partition of a mask of this grade has parts of lower grades, all

@@ -65,6 +65,16 @@ MUTANTS = [
         ],
     ),
     (
+        "reach-without-union",
+        "superalg/superanalysis.py",
+        "reach |= {r | b for r in reach if not r & b}",
+        "reach |= {b for r in reach if not r & b}",
+        [
+            "tests/test_superanalysis.py::TestSqrt::test_sparse_root_solves_only_reachable_grades",
+            "tests/test_superanalysis.py::test_sqrt_even_matches_binomial_on_sparse_souls[10]",
+        ],
+    ),
+    (
         "koszul-factor-dropped",
         "superalg/supermodule.py",
         "term = _koszul(phi.matrix[k][i], tgt2[l]) * _koszul(",

@@ -1,8 +1,10 @@
 """The integer-triple Gaussian type against a Fraction-pair oracle, radical
 JSON normal form, ring identities that are built once, the flat
 ``(exponents, radicand)`` layout of a quotient over radical scalars, and a
-pinned count of sparse sums in the supersphere projector."""
+pinned count of sparse sums in the supersphere projector and on the
+``certify`` path of the cli."""
 
+import json
 import math
 import sys
 from collections import Counter
@@ -11,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from superalg.cli import main
 from superalg.errors import DomainError
 from superalg.landi import make_uosp_ring, projector_p
 import superalg.scalars as scalars
@@ -19,7 +22,9 @@ from superalg.scalars import (
     GaussianRationalRing,
     PolyQuotientRing,
     RadicalGaussianRing,
+    RationalRing,
 )
+from superalg.spheres import make_sphere_projector
 
 
 class PairGaussian:
@@ -290,24 +295,30 @@ def test_involution_keeps_radicands():
     assert UOSP.coeff_involute(image) == value
 
 
-def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
-    """A regression in how many sums or Gaussian products a composition forms fails here on any machine."""
-    p = projector_p(2)
-    calls = Counter()
+def _count_collect(monkeypatch, calls):
+    """Count every ``collect`` call, under each name a ``superalg`` module imported it by, in ``calls``."""
     original = scalars.collect
-    gaussian_product = GaussianRational.__mul__
 
     def counting(ring, pairs):
         calls["collect"] += 1
         return original(ring, pairs)
 
+    for name, module in list(sys.modules.items()):
+        if name.startswith("superalg") and getattr(module, "collect", None) is original:
+            monkeypatch.setattr(module, "collect", counting)
+
+
+def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
+    """A regression in how many sums or Gaussian products a composition forms fails here on any machine."""
+    p = projector_p(2)
+    calls = Counter()
+    gaussian_product = GaussianRational.__mul__
+
     def counting_product(u, v):
         calls["gaussian"] += 1
         return gaussian_product(u, v)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("superalg") and getattr(module, "collect", None) is original:
-            monkeypatch.setattr(module, "collect", counting)
+    _count_collect(monkeypatch, calls)
     monkeypatch.setattr(GaussianRational, "__mul__", counting_product)
     assert p.compose(p) == p
     # A radical value nested in each polynomial term made 1,281 sums here, one more per
@@ -318,3 +329,22 @@ def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
     # Rewriting each term product before collecting made 550 Gaussian products here;
     # collecting first rewrites each distinct term once.
     assert 0 < calls["gaussian"] <= 480
+
+
+def test_certify_makes_a_pinned_number_of_sums_and_rational_products(monkeypatch, tmp_path, capsys):
+    """The cli path end to end: reading, squaring, splitting and printing the n=1 sphere projector."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(make_sphere_projector(1).g.to_json()))
+    calls = Counter()
+    rational_product = RationalRing.mul
+
+    def counting_product(ring, u, v):
+        calls["rational"] += 1
+        return rational_product(ring, u, v)
+
+    _count_collect(monkeypatch, calls)
+    monkeypatch.setattr(RationalRing, "mul", counting_product)
+    assert main(["certify", str(path)]) == 0
+    assert "residual g^2 - g: 0" in capsys.readouterr().out
+    assert 0 < calls["collect"] <= 37
+    assert 0 < calls["rational"] <= 27

@@ -96,6 +96,12 @@ class TestJets:
         expect = poly_jet([Fraction(2), Fraction(6)], Fraction(0), order=3)
         assert df == expect
 
+    def test_derivative_axis_out_of_range_rejected(self):
+        f = sin_jet(4)
+        for axis in (-1, 1):
+            with pytest.raises(DomainError, match="axis"):
+                f.derivative(axis)
+
     def test_body_mismatch_rejected(self):
         ring = grassmann_ring(2)
         f = poly_jet([Fraction(0), Fraction(1)], Fraction(1))
@@ -176,6 +182,20 @@ class TestGInfinity:
         xi1, xi2 = ring.odd_gen_at(1), ring.odd_gen_at(3)
         p = SuperPoint((x,), (xi1, xi2))
         assert eval_g_infinity(F, p) == x * xi1 * xi2
+
+    def test_arity_zero_jets_continue_to_their_constants(self):
+        ring = grassmann_ring(2)
+        three = Jet.constant(Fraction(3), RR, arity=0)
+        F = SuperSmoothFn.from_dict(2, {0: three, 0b11: three})
+        xi1, xi2 = ring.odd_gen_at(1), ring.odd_gen_at(2)
+        expect = ring.from_fraction(3) + (xi1 * xi2).scale(Fraction(3))
+        assert eval_g_infinity(F, SuperPoint((), (xi1, xi2))) == expect
+
+    def test_no_coordinates_rejected(self):
+        with pytest.raises(DomainError):
+            SuperPoint((), ())
+        with pytest.raises(DomainError):
+            continue_analytically(Jet.constant(Fraction(3), RR, arity=0), [])
 
     def test_body_point(self):
         ring = grassmann_ring(2)
@@ -303,6 +323,21 @@ class TestSqrt:
         assert x * x == z
         assert x == sqrt_even_binomial(z, root0)
 
+    def test_sparse_root_solves_only_reachable_grades(self, monkeypatch):
+        # z = 1 + A + B with A, B disjoint of grade 8: the root lives on 0, A, B
+        # and A|B, where z is zero.  Grades 8 and 16 are solved, one cleared sum
+        # each, and the ``x * x`` check clears once more.  Solving every even
+        # submask of A|B would clear once for each grade from 2 to 16.
+        ring = grassmann_ring(16)
+        A, B = 0x00FF, 0xFF00
+        z = ring.element({0: Fraction(1), A: Fraction(1), B: Fraction(1)})
+        calls = []
+        cleared = RationalRing.cleared
+        monkeypatch.setattr(RationalRing, "cleared", lambda *a: calls.append(1) or cleared(*a))
+        x = sqrt_even(z, Fraction(1))
+        assert x.terms == {0: 1, A: Fraction(1, 2), B: Fraction(1, 2), A | B: Fraction(-1, 4)}
+        assert len(calls) == 3
+
     def test_preconditions(self):
         ring = grassmann_ring(2)
         with pytest.raises(DomainError):
@@ -396,3 +431,32 @@ def test_sqrt_even_matches_binomial_on_dense_elements(L, coeff, value, root0):
         x = ring.from_coeff(root0) + soul
         z = x * x
         assert sqrt_even(z, root0) == x == sqrt_even_binomial(z, root0)
+
+
+def _random_even_mask(rng, L):
+    return sum(1 << i for i in rng.sample(range(L), rng.randrange(2, L + 1, 2)))
+
+
+@pytest.mark.parametrize("L", [10, 12, 14, 16])
+def test_sqrt_even_matches_binomial_on_sparse_souls(L):
+    rng = random.Random(L)
+    ring = grassmann_ring(L)
+    root0 = Fraction(3, 2)
+    body = ring.from_fraction(root0 * root0)
+    souls = [
+        ring.element({_random_even_mask(rng, L): _rational_value(rng) for _ in range(n)})
+        for n in (1, 2, 3, 4)
+        for _ in range(4)
+    ]
+    # Overlapping masks reach only themselves; disjoint ones also reach their
+    # union, where z is zero.
+    low, mid, high = 0b1111, 0b1111 << 2, 0b1111 << 4
+    overlapping = ring.element({low: Fraction(1), mid: Fraction(-2), low ^ mid: Fraction(1, 3)})
+    disjoint = ring.element({low: Fraction(1), high: Fraction(-2)})
+    for soul in souls + [overlapping, disjoint]:
+        z = body + soul
+        x = sqrt_even(z, root0)
+        assert x == sqrt_even_binomial(z, root0)
+        assert x * x == z
+    assert sqrt_even(body + overlapping, root0).terms.keys() == {0, low, mid, low ^ mid}
+    assert (low | high) in sqrt_even(body + disjoint, root0).terms
