@@ -5,10 +5,10 @@ Gaussian rationals, integers mod n, and Gaussian rationals extended by
 formal square roots of positive integers.  On top of any scalar kind sits
 ``PolyQuotientRing``: a commutative polynomial ring with at most one
 quadratic relation, rewritten to a canonical normal form.  A normal form is
-made in three steps, for one value or for a whole sum of products at once
-(``PolyQuotientRing.sum_of_products``): collect the terms, rewrite the
-relation's lead product out of each collected term, and collect the
-rewritten terms with the rest.
+made in two steps, for one value or for a whole sum of products at once
+(``PolyQuotientRing.sum_of_products``): sum the terms, then rewrite the
+relation's lead product out of each summed term and add the rewrites into
+the terms that needed none.
 
 Every coefficient ring has the interface of :class:`CoeffRing`.  A scalar
 ring reads as a polynomial ring in no variables over itself: no
@@ -34,12 +34,14 @@ is printed, serialized or listed by ``monomials``; it does not hash (a
 ``repr(to_json())``, built once per ring object; ``==`` on rings compares
 it after an ``is`` test.
 
-Every sparse sum in the package -- radical values, quotient polynomials,
-super ring elements and jets -- is formed by :func:`collect`, which is also
-the one place where zero coefficients are dropped.  The values it receives
-must already be in their ring's normal form; it only adds them.  A quotient
-collects its terms' base scalars before and after the relation rewrites
-them.
+A sparse product adds each term product into its output dict as it is
+formed and drops zero sums once, at the end: ``SuperElement.__mul__`` over a
+scalar ring, and ``PolyQuotientRing._products`` for the term products of a
+sum of products and again for the relation's rewrites.  :func:`collect`
+sums values that already exist -- ``+`` on every kind of value, a quotient
+value's normal form, and the cold radical and jet products -- and drops
+zero sums the same way.  The values either receives must already be in
+their ring's normal form; they are only added.
 """
 
 from __future__ import annotations
@@ -686,9 +688,13 @@ class PolyQuotientRing(CoeffRing):
             self._rhs_powers.append(self.mul(self._rhs_powers[-1], self.relation.rhs))
         return self._rhs_powers[k]
 
-    def _products(self, products):
-        """Every term product of ``(tag, negate, u, v)`` quadruples, unsummed, as ``((tag, key), scalar)``."""
-        add = operator.add
+    def _products(self, products, out):
+        """``out`` plus every term product of ``(tag, negate, u, v)`` quadruples, keyed ``(tag, key)``.
+
+        Each product is added into ``out`` as it is formed; zeros are dropped
+        once, from the dict returned.  ``out`` itself is filled in place.
+        """
+        get, add, plus = out.get, operator.add, self._scalars.add
         if self._flat:
             for tag, negate, u, v in products:
                 right = v.items()
@@ -697,7 +703,9 @@ class PolyQuotientRing(CoeffRing):
                         c1 = -c1
                     for (e2, t), c2 in right:
                         r, c = radical_product(s, t, c1 * c2)
-                        yield (tag, (tuple(map(add, e1, e2)), r)), c
+                        key = (tag, (tuple(map(add, e1, e2)), r))
+                        acc = get(key)
+                        out[key] = c if acc is None else acc + c
         else:
             mul, neg = self.base.mul, self.base.neg
             for tag, negate, u, v in products:
@@ -706,28 +714,31 @@ class PolyQuotientRing(CoeffRing):
                     if negate:
                         c1 = neg(c1)
                     for e2, c2 in right:
-                        yield (tag, tuple(map(add, e1, e2))), mul(c1, c2)
+                        key = (tag, tuple(map(add, e1, e2)))
+                        c = mul(c1, c2)
+                        acc = get(key)
+                        out[key] = c if acc is None else plus(acc, c)
+        return {key: c for key, c in out.items() if c}
 
     def _normal_form(self, terms):
-        """The normal form of a sum of ``((tag, key), scalar)`` pairs, tag by tag, keyed as they are.
+        """The normal form of a dict of nonzero ``(tag, key)`` scalars, tag by tag, keyed as they are.
 
-        The terms are collected, the lead product is rewritten ``k`` times out
-        of each collected term (``head * rhs**k``, already in normal form), and
-        the result is collected again, so a term that several products share
-        is rewritten once.
+        The lead product is rewritten ``k`` times out of each term (``head *
+        rhs**k``, already in normal form) and the rewrites are added into the
+        terms that need none, so a term that several products share is
+        rewritten once.
         """
-        terms = collect(self._scalars, terms)
         if self.relation is None:
             return terms
         flat = self._flat
         i, j = self._heads
-        kept, rewrites = [], []
+        kept, rewrites = {}, []
         for tagged, c in terms.items():
             tag, key = tagged
             exps = key[0] if flat else key
             k = exps[i] // 2 if i == j else min(exps[i], exps[j])
             if k == 0:
-                kept.append((tagged, c))
+                kept[tagged] = c
                 continue
             exps = list(exps)
             exps[i] -= k
@@ -736,21 +747,23 @@ class PolyQuotientRing(CoeffRing):
             rewrites.append((tag, False, {head: c}, self._rhs_power(k)))
         if not rewrites:
             return terms
-        return collect(self._scalars, chain(kept, self._products(rewrites)))
+        return self._products(rewrites, kept)
 
     def normal_form_dict(self, terms):
-        """The normal form of the sum of ``(key, scalar)`` pairs: collect, rewrite, collect."""
-        return {key: c for (_, key), c in self._normal_form(((None, key), c) for key, c in terms).items()}
+        """The normal form of the sum of ``(key, scalar)`` pairs: collect, then rewrite."""
+        tagged = collect(self._scalars, (((None, key), c) for key, c in terms))
+        return {key: c for (_, key), c in self._normal_form(tagged).items()}
 
     def sum_of_products(self, products) -> dict:
         """``{tag: value}``: the normal form of the sum of ``±u*v`` over ``(tag, negate, u, v)`` quadruples.
 
-        Every term product is formed in one loop, keyed by ``(tag, term key)``,
-        and normalized once (:meth:`_normal_form`) however many quadruples
-        share a tag; a tag whose sum is zero is absent.
+        Every term product is added, keyed by ``(tag, term key)``, into one
+        dict as it is formed, and the sum is normalized once
+        (:meth:`_normal_form`) however many quadruples share a tag; a tag whose
+        sum is zero is absent.
         """
         out = {}
-        for (tag, key), c in self._normal_form(self._products(products)).items():
+        for (tag, key), c in self._normal_form(self._products(products, {})).items():
             value = out.get(tag)
             if value is None:
                 out[tag] = {key: c}

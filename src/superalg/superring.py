@@ -19,12 +19,16 @@ multiplies coefficients.
 
 A sum of products, :meth:`SuperRing.sum_of_products`, is how ``*``,
 morphism composition and the supersphere pairings multiply over a quotient
-coefficient ring: the term products of every pair are formed in one loop,
-keyed by (odd bitmask, coefficient term), then collected, rewritten by the
-ring's relation and collected once for the whole sum
+coefficient ring: the term products of every pair are added, keyed by (odd
+bitmask, coefficient term), into one dict as they are formed, rewritten by
+the ring's relation once for the whole sum, the rewrites added into the
+terms that needed none
 (:meth:`~superalg.scalars.PolyQuotientRing.sum_of_products`), and regrouped
 by bitmask.  ``x * y`` is the one-pair case.  Over a scalar coefficient
-ring ``*`` forms each product inline and a sum of products sums them.
+ring ``*`` adds each term product into its output as it is formed, and a
+sum of products sums the products.  Either way zero sums are dropped once,
+at the end; :func:`~superalg.scalars.collect` sums only values that already
+exist.
 
 Over a scalar ring ``*`` visits only term pairs that can be nonzero.  For a
 left term ``b1`` the right terms it meets are disjoint from ``b1``: they are
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 from . import multiindex as mi
 from .errors import CapacityError, DomainError, RingMismatchError
@@ -195,9 +199,9 @@ class SuperRing:
         """The sum of ``x * y`` over the ``(x, y)`` pairs; zero for no pairs.
 
         Over a quotient coefficient ring ``x * y`` is the one-pair case: every
-        term product of every pair is formed in one loop, keyed by odd bitmask
-        and coefficient term, and the sum is collected, rewritten by the
-        relation and collected once (:meth:`PolyQuotientRing.sum_of_products`).
+        term product of every pair is added into one dict, keyed by odd bitmask
+        and coefficient term, as it is formed, and the sum is rewritten by the
+        relation once (:meth:`PolyQuotientRing.sum_of_products`).
         Over a scalar ring the products are formed by ``*`` and summed.  An
         operand of another ring raises ``RingMismatchError``; one that is not
         an element, ``TypeError``.
@@ -382,7 +386,7 @@ class SuperElement:
             ring, d, left, right = coeff.cleared(self.terms, other.terms)
         else:
             ring, d, left, right = coeff, 1, self.terms, other.terms
-        mul, neg = ring.mul, ring.neg
+        mul, neg, add = ring.mul, ring.neg, ring.add
         if other is self and len(left) >= _SQUARE_MIN_TERMS:
             # A square forms each unordered pair {b1, b2} of terms once, doubled:
             # with commuting coefficients the pair gives c1*c2*(t1*t2 + t2*t1),
@@ -391,37 +395,43 @@ class SuperElement:
             # b1 the even b2 > b1; (0, 0), the one pair of a term with itself,
             # enters once, undoubled.
             even = sorted((b, c) for b, c in left.items() if not b.bit_count() & 1)
-            even_terms, add, n = dict(even), ring.add, len(even)
+            even_terms, n = dict(even), len(even)
             body = {0: left[0]} if 0 in left else {}
-            every_even = (even, even_terms, 0, _walk_grade(L, n))
+            odd = ((b1, add(c1, c1)) for b1, c1 in left.items() if b1.bit_count() & 1)
+            even_steps = (
+                ((b1, add(c1, c1)), (even[i + 1:], even_terms, b1 + 1, _walk_grade(L, n - i - 1)))
+                for i, (b1, c1) in enumerate(even)
+            )
             plan = chain(
-                zip(body.items(), repeat((body.items(), body, 0, L + 1))),
-                (((b1, add(c1, c1)), every_even) for b1, c1 in left.items() if b1.bit_count() & 1),
-                (
-                    ((b1, add(c1, c1)), (even[i + 1:], even_terms, b1 + 1, _walk_grade(L, n - i - 1)))
-                    for i, (b1, c1) in enumerate(even)
-                ),
+                ((body.items(), (body.items(), body, 0, L + 1)), (odd, (even, even_terms, 0, _walk_grade(L, n)))),
+                (((entry,), step) for entry, step in even_steps),
             )
         else:
-            plan = zip(left.items(), repeat((right.items(), right, 0, _walk_grade(L, len(right)))))
-
-        def products():
-            # One entry of the plan is a left term b1 and the right terms b2 >= lo
-            # it meets: ``items``, or, when b1 has at least ``grade`` bits, those
-            # of the submasks of its free bits found in the dict ``terms``.
-            # merge_bits is inlined: one sign mask per entry, then one AND and
-            # one popcount per pair.
-            for (b1, c1), (items, terms, lo, grade) in plan:
+            plan = ((left.items(), (right.items(), right, 0, _walk_grade(L, len(right)))),)
+        # Each step of the plan is some left terms b1 and the right terms b2 >= lo
+        # they meet: ``items``, or, for a b1 of at least ``grade`` bits, those of
+        # the submasks of its free bits found in the dict ``terms``.  merge_bits
+        # is inlined: one sign mask per left term, then one AND and one popcount
+        # per pair.  Each term product is added into ``out`` as it is formed, and
+        # zeros are dropped once, at the end.
+        out = {}
+        get = out.get
+        for entries, (items, terms, lo, grade) in plan:
+            for b1, c1 in entries:
+                found = items
                 if b1.bit_count() >= grade:
-                    items = _submask_terms(full & ~b1, terms, lo)
+                    found = _submask_terms(full & ~b1, terms, lo)
                 mask = mi.sign_mask(b1)
-                for b2, c2 in items:
+                for b2, c2 in found:
                     if b1 & b2:
                         continue
                     c = mul(c1, c2)
-                    yield b1 | b2, (neg(c) if (mask & b2).bit_count() & 1 else c)
-
-        terms = collect(ring, products())
+                    if (mask & b2).bit_count() & 1:
+                        c = neg(c)
+                    b = b1 | b2
+                    acc = get(b)
+                    out[b] = c if acc is None else add(acc, c)
+        terms = {b: c for b, c in out.items() if c}
         return SuperElement(self.ring, terms if d == 1 else coeff.divided(terms, d))
 
     def __rmul__(self, other):

@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SQUARES = "tests/test_grassmann_squares.py"
+CANCELLATION = "tests/test_product_cancellation.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -63,6 +64,41 @@ MUTANTS = [
             f"{SQUARES}::test_high_grade_times_dense_looks_up_submasks",
             f"{SQUARES}::test_dense_times_high_grade_scans",
         ],
+    ),
+    (
+        "accumulate-overwrites",
+        "superalg/superring.py",
+        "out[b] = c if acc is None else add(acc, c)",
+        "out[b] = c",
+        [f"{CANCELLATION}::test_products_that_cancel_at_one_key"],
+    ),
+    (
+        "zero-kept",
+        "superalg/superring.py",
+        "terms = {b: c for b, c in out.items() if c}",
+        "terms = out",
+        [f"{CANCELLATION}::test_products_that_cancel_everywhere"],
+    ),
+    (
+        "quotient-accumulate-overwrites",
+        "superalg/scalars.py",
+        "out[key] = c if acc is None else plus(acc, c)",
+        "out[key] = c",
+        [f"{CANCELLATION}::test_quotient_rewrite_that_cancels_a_kept_term[sphere-rational]"],
+    ),
+    (
+        "quotient-flat-accumulate-overwrites",
+        "superalg/scalars.py",
+        "out[key] = c if acc is None else acc + c",
+        "out[key] = c",
+        [f"{CANCELLATION}::test_quotient_rewrite_that_cancels_a_kept_term[uosp]"],
+    ),
+    (
+        "quotient-zero-kept",
+        "superalg/scalars.py",
+        "return {key: c for key, c in out.items() if c}",
+        "return out",
+        [f"{CANCELLATION}::test_quotient_sum_of_products_that_cancels_everywhere"],
     ),
     (
         "reach-without-union",

@@ -1,8 +1,8 @@
 """The integer-triple Gaussian type against a Fraction-pair oracle, radical
 JSON normal form, ring identities that are built once, the flat
 ``(exponents, radicand)`` layout of a quotient over radical scalars, and a
-pinned count of sparse sums in the supersphere projector and on the
-``certify`` path of the cli."""
+pinned count of product passes in the supersphere projector and of sparse
+sums on the ``certify`` path of the cli."""
 
 import json
 import math
@@ -309,23 +309,32 @@ def _count_collect(monkeypatch, calls):
 
 
 def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
-    """A regression in how many sums or Gaussian products a composition forms fails here on any machine."""
+    """A regression in how many product passes or Gaussian products a composition forms fails here on any machine."""
     p = projector_p(2)
     calls = Counter()
     gaussian_product = GaussianRational.__mul__
+    products = PolyQuotientRing._products
 
     def counting_product(u, v):
         calls["gaussian"] += 1
         return gaussian_product(u, v)
 
+    def counting_products(ring, quadruples, out):
+        calls["products"] += 1
+        return products(ring, quadruples, out)
+
     _count_collect(monkeypatch, calls)
     monkeypatch.setattr(GaussianRational, "__mul__", counting_product)
+    monkeypatch.setattr(PolyQuotientRing, "_products", counting_products)
     assert p.compose(p) == p
     # A radical value nested in each polynomial term made 1,281 sums here, one more per
     # term product; the flat (exponents, radicand) key made 410, a sum per element product
-    # and per coefficient product.  One sum of products per entry of the 5x5 result,
-    # collected before and after the relation rewrites it, makes at most 2 per entry.
-    assert 0 < calls["collect"] <= 2 * 5 * 5
+    # and per coefficient product.  One sum of products per entry of the 5x5 result makes
+    # one pass that adds its term products into a dict and, where a term holds the lead
+    # product, one that adds the rewrites into the kept terms: at most 2 per entry (46
+    # here), and no collect call.
+    assert 0 < calls["products"] <= 2 * 5 * 5
+    assert calls["collect"] == 0
     # Rewriting each term product before collecting made 550 Gaussian products here;
     # collecting first rewrites each distinct term once.
     assert 0 < calls["gaussian"] <= 480
@@ -346,5 +355,6 @@ def test_certify_makes_a_pinned_number_of_sums_and_rational_products(monkeypatch
     monkeypatch.setattr(RationalRing, "mul", counting_product)
     assert main(["certify", str(path)]) == 0
     assert "residual g^2 - g: 0" in capsys.readouterr().out
-    assert 0 < calls["collect"] <= 37
+    # 37 while products were summed by collect; the product kernels add as they go.
+    assert 0 < calls["collect"] <= 27
     assert 0 < calls["rational"] <= 27
