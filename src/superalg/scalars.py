@@ -19,12 +19,13 @@ at most one term, with the empty exponent tuple.  ``imaginary_unit`` is
 Ring values are plain data: ``int`` or ``Fraction`` for a rational (an
 integral rational is stored as its ``int`` numerator), ``GaussianRational``,
 ``int`` mod n, and two sparse dicts -- the radical value (radicand to
-Gaussian coefficient) and the quotient polynomial (exponent tuple to base
-scalar).  A quotient over ``gaussian_radical`` scalars is one flat dict
-keyed by ``(exponent tuple, squarefree radicand)`` with ``GaussianRational``
-values, so no radical dict nests inside it; its ``monomials`` regroups the
-terms of each exponent tuple into a radical value.  All operations go
-through the ring object, which owns the normal form.  A
+Gaussian coefficient) and the quotient polynomial.  A quotient value is one
+flat dict keyed by ``(exponent tuple, squarefree radicand)``, whatever its
+base: a scalar ring reads as radicand 1 only (``CoeffRing.radicals``), and
+the stored scalars live in the base's ``term_scalars`` ring, so no radical
+dict nests inside a quotient value; its ``monomials`` regroups the terms of
+each exponent tuple into a base scalar.  All operations go through the ring
+object, which owns the normal form.  A
 ``GaussianRational`` is a reduced integer triple ``(a + b*i)/d``, so
 Gaussian and radical arithmetic builds no ``Fraction``.  Every value is
 falsy exactly when it is zero, which is the zero test.  A sparse value is
@@ -284,6 +285,19 @@ class CoeffRing:
         """The value ``c`` times the monomial with exponents ``exps``."""
         return c
 
+    @property
+    def term_scalars(self):
+        """The ring of the scalars in :meth:`radicals`."""
+        return self
+
+    def radicals(self, u):
+        """``u`` as ``(squarefree radicand, scalar)`` pairs; a ring without radicals has only radicand 1."""
+        return ((1, u),) if u else ()
+
+    def from_radicals(self, radicals):
+        """The value whose :meth:`radicals` are the items of the dict ``radicals``."""
+        return radicals.get(1, self.zero())
+
     def add(self, u, v):
         raise NotImplementedError
 
@@ -515,14 +529,19 @@ class RadicalGaussianRing(CoeffRing):
     """Gaussian rationals extended by formal radicals ``sqrt(s)``.
 
     A value is a dict mapping a squarefree positive integer to a Gaussian
-    rational coefficient (key 1 is the rational part).  Radicals multiply by
-    :func:`radical_product`.  Conjugation fixes radicals.
+    rational coefficient (key 1 is the rational part), which is its own
+    :meth:`radicals` view.  Radicals multiply by :func:`radical_product`.
+    Conjugation fixes radicals.
     """
 
     kind = "gaussian_radical"
+    term_scalars = GaussianRationalRing()
 
-    def __init__(self):
-        self._gaussians = GaussianRationalRing()
+    def radicals(self, u):
+        return u.items()
+
+    def from_radicals(self, radicals):
+        return radicals
 
     def zero(self):
         return {}
@@ -542,14 +561,14 @@ class RadicalGaussianRing(CoeffRing):
         return {s: GaussianRational(m, 0)}
 
     def add(self, u, v):
-        return collect(self._gaussians, chain(u.items(), v.items()))
+        return collect(self.term_scalars, chain(u.items(), v.items()))
 
     def neg(self, u):
         return {s: -c for s, c in u.items()}
 
     def mul(self, u, v):
         products = (radical_product(s, t, c * d) for s, c in u.items() for t, d in v.items())
-        return collect(self._gaussians, products)
+        return collect(self.term_scalars, products)
 
     def conj(self, u):
         return {s: c.conj() for s, c in u.items()}
@@ -584,7 +603,7 @@ class RadicalGaussianRing(CoeffRing):
                 g = GaussianRational(_parse_fraction(item["re"]), _parse_fraction(item["im"]))
                 yield s, g.scale(m)
 
-        return collect(self._gaussians, terms())
+        return collect(self.term_scalars, terms())
 
     def to_json(self):
         return {"kind": "gaussian_radical"}
@@ -613,11 +632,12 @@ class Relation:
 class PolyQuotientRing(CoeffRing):
     """Commutative polynomials over a base scalar ring, modulo one relation.
 
-    A value maps a term key to a nonzero scalar: the exponent tuple to a base
-    scalar, or over ``gaussian_radical`` scalars ``(exponents, squarefree
-    radicand)`` to a ``GaussianRational``, so that no radical dict nests in a
-    term.  ``monomials``, ``monomial``, ``from_scalar`` and the JSON forms
-    speak in ``(exponents, base scalar)`` pairs either way.
+    A value maps a term key ``(exponents, squarefree radicand)`` to a nonzero
+    scalar of ``base.term_scalars``: over a base without radicals the radicand
+    is 1 and the scalar a base value, and over ``gaussian_radical`` scalars it
+    is a ``GaussianRational``, so that no radical dict nests in a term.
+    ``monomials``, ``monomial``, ``from_scalar`` and the JSON forms speak in
+    ``(exponents, base scalar)`` pairs.
     """
 
     kind = "poly_quotient"
@@ -625,8 +645,7 @@ class PolyQuotientRing(CoeffRing):
 
     def __init__(self, base: CoeffRing, variables, relation: Relation = None):
         self.base = base
-        self._flat = base.kind == "gaussian_radical"
-        self._scalars = GaussianRationalRing() if self._flat else base  # the ring of the stored scalars
+        self._scalars = base.term_scalars
         self.variables = tuple(variables)
         self._var_pos = {v: i for i, v in enumerate(self.variables)}
         if len(self._var_pos) != len(self.variables):
@@ -648,9 +667,7 @@ class PolyQuotientRing(CoeffRing):
 
     def _terms(self, exps, c):
         """The base scalar ``c`` times the monomial ``exps``, as ``(key, scalar)`` pairs."""
-        if self._flat:
-            return [((exps, s), g) for s, g in c.items()]
-        return [(exps, c)] if c else []
+        return [((exps, s), g) for s, g in self.base.radicals(c)]
 
     def zero(self):
         return {}
@@ -671,12 +688,10 @@ class PolyQuotientRing(CoeffRing):
         return dict(self._terms(tuple(int(v == name) for v in self.variables), self.base.one()))
 
     def monomials(self, u):
-        if not self._flat:
-            return tuple(sorted(u.items()))
         radicals = {}
         for (exps, s), c in u.items():
             radicals.setdefault(exps, {})[s] = c
-        return tuple(sorted(radicals.items()))
+        return tuple(sorted((exps, self.base.from_radicals(r)) for exps, r in radicals.items()))
 
     def monomial(self, exps, c):
         return self.normal_form_dict(self._terms(tuple(exps), c))
@@ -689,39 +704,32 @@ class PolyQuotientRing(CoeffRing):
         return self._rhs_powers[k]
 
     def _products(self, products, out):
-        """``out`` plus every term product of ``(tag, negate, u, v)`` quadruples, keyed ``(tag, key)``.
+        """``out`` plus every term product of ``(tag, negate, u, v)`` quadruples.
 
-        Each product is added into ``out`` as it is formed; zeros are dropped
-        once, from the dict returned.  ``out`` itself is filled in place.
+        Each product is keyed ``(tag, exponents, radicand)`` and added into
+        ``out`` as it is formed; zeros are dropped once, from the dict
+        returned.  ``out`` itself is filled in place.
         """
-        get, add, plus = out.get, operator.add, self._scalars.add
-        if self._flat:
-            for tag, negate, u, v in products:
-                right = v.items()
-                for (e1, s), c1 in u.items():
-                    if negate:
-                        c1 = -c1
-                    for (e2, t), c2 in right:
-                        r, c = radical_product(s, t, c1 * c2)
-                        key = (tag, (tuple(map(add, e1, e2)), r))
-                        acc = get(key)
-                        out[key] = c if acc is None else acc + c
-        else:
-            mul, neg = self.base.mul, self.base.neg
-            for tag, negate, u, v in products:
-                right = v.items()
-                for e1, c1 in u.items():
-                    if negate:
-                        c1 = neg(c1)
-                    for e2, c2 in right:
-                        key = (tag, tuple(map(add, e1, e2)))
-                        c = mul(c1, c2)
-                        acc = get(key)
-                        out[key] = c if acc is None else plus(acc, c)
+        get, add = out.get, operator.add
+        plus, mul, neg = self._scalars.add, self._scalars.mul, self._scalars.neg
+        for tag, negate, u, v in products:
+            right = v.items()
+            for (e1, s), c1 in u.items():
+                if negate:
+                    c1 = neg(c1)
+                for (e2, t), c2 in right:
+                    c = mul(c1, c2)
+                    if s == 1 or t == 1:  # radical_product's rule, without its call
+                        r = s * t
+                    else:
+                        r, c = radical_product(s, t, c)
+                    key = (tag, tuple(map(add, e1, e2)), r)
+                    acc = get(key)
+                    out[key] = c if acc is None else plus(acc, c)
         return {key: c for key, c in out.items() if c}
 
     def _normal_form(self, terms):
-        """The normal form of a dict of nonzero ``(tag, key)`` scalars, tag by tag, keyed as they are.
+        """The normal form, tag by tag, of nonzero scalars keyed ``(tag, exponents, radicand)``, keyed alike.
 
         The lead product is rewritten ``k`` times out of each term (``head *
         rhs**k``, already in normal form) and the rewrites are added into the
@@ -730,12 +738,10 @@ class PolyQuotientRing(CoeffRing):
         """
         if self.relation is None:
             return terms
-        flat = self._flat
         i, j = self._heads
         kept, rewrites = {}, []
         for tagged, c in terms.items():
-            tag, key = tagged
-            exps = key[0] if flat else key
+            tag, exps, s = tagged
             k = exps[i] // 2 if i == j else min(exps[i], exps[j])
             if k == 0:
                 kept[tagged] = c
@@ -743,32 +749,31 @@ class PolyQuotientRing(CoeffRing):
             exps = list(exps)
             exps[i] -= k
             exps[j] -= k
-            head = (tuple(exps), key[1]) if flat else tuple(exps)
-            rewrites.append((tag, False, {head: c}, self._rhs_power(k)))
+            rewrites.append((tag, False, {(tuple(exps), s): c}, self._rhs_power(k)))
         if not rewrites:
             return terms
         return self._products(rewrites, kept)
 
     def normal_form_dict(self, terms):
         """The normal form of the sum of ``(key, scalar)`` pairs: collect, then rewrite."""
-        tagged = collect(self._scalars, (((None, key), c) for key, c in terms))
-        return {key: c for (_, key), c in self._normal_form(tagged).items()}
+        tagged = collect(self._scalars, (((None, exps, s), c) for (exps, s), c in terms))
+        return {(exps, s): c for (_, exps, s), c in self._normal_form(tagged).items()}
 
     def sum_of_products(self, products) -> dict:
         """``{tag: value}``: the normal form of the sum of ``±u*v`` over ``(tag, negate, u, v)`` quadruples.
 
-        Every term product is added, keyed by ``(tag, term key)``, into one
-        dict as it is formed, and the sum is normalized once
+        Every term product is added, keyed by ``(tag, exponents, radicand)``,
+        into one dict as it is formed, and the sum is normalized once
         (:meth:`_normal_form`) however many quadruples share a tag; a tag whose
         sum is zero is absent.
         """
         out = {}
-        for (tag, key), c in self._normal_form(self._products(products, {})).items():
+        for (tag, exps, s), c in self._normal_form(self._products(products, {})).items():
             value = out.get(tag)
             if value is None:
-                out[tag] = {key: c}
+                out[tag] = {(exps, s): c}
             else:
-                value[key] = c
+                value[exps, s] = c
         return out
 
     # -- arithmetic ----------------------------------------------------------
@@ -795,8 +800,7 @@ class PolyQuotientRing(CoeffRing):
                 new[dst] = exps[src]
             return tuple(new)
 
-        terms = (self._terms(renamed(exps), c) for exps, c in self.monomials(u))
-        return self.normal_form_dict(chain.from_iterable(terms))
+        return self.normal_form_dict(((renamed(exps), s), c) for (exps, s), c in u.items())
 
     def to_str(self, u):
         if not u:

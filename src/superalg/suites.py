@@ -16,7 +16,7 @@ from functools import reduce
 from .errors import DomainError
 from .landi import inner, ket_entries, make_bra, make_uosp_ring, pi_apply, projector_p
 from .reports import SuiteReport, residual_witness
-from .scalars import IntegerModRing, PolyQuotientRing, collect
+from .scalars import IntegerModRing, collect
 from .spheres import make_sphere_projector, sphere_ring, stably_free_certificate, z6_example, z6_ring
 from .supermodule import (
     FreeType,
@@ -56,7 +56,7 @@ def _coeff_sampler(ring: SuperRing):
     coeff = ring.coeff
     if isinstance(coeff, IntegerModRing):
         return lambda rng: coeff.from_int(rng.randrange(coeff.n))
-    if isinstance(coeff, PolyQuotientRing):
+    if coeff.variables:
 
         def term(rng):
             value = coeff.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))

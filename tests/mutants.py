@@ -87,11 +87,25 @@ MUTANTS = [
         [f"{CANCELLATION}::test_quotient_rewrite_that_cancels_a_kept_term[sphere-rational]"],
     ),
     (
-        "quotient-flat-accumulate-overwrites",
+        "quotient-radical-accumulate-overwrites",
         "superalg/scalars.py",
-        "out[key] = c if acc is None else acc + c",
+        "out[key] = c if acc is None else plus(acc, c)",
         "out[key] = c",
         [f"{CANCELLATION}::test_quotient_rewrite_that_cancels_a_kept_term[uosp]"],
+    ),
+    (
+        "radicand-of-one-dropped",
+        "superalg/scalars.py",
+        "r = s * t",
+        "r = 1",
+        ["tests/test_flat_products.py::test_product_matches_the_term_by_term_reference"],
+    ),
+    (
+        "rewrite-radicand-dropped",
+        "superalg/scalars.py",
+        "{(tuple(exps), s): c}",
+        "{(tuple(exps), 1): c}",
+        ["tests/test_normal_form_oracle.py::test_normal_form_matches_sympy_reduced"],
     ),
     (
         "quotient-zero-kept",

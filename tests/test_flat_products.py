@@ -104,11 +104,9 @@ def assert_stored_form(z):
     if coeff.relation is None:
         return
     i, j = (coeff.variables.index(h) for h in coeff.relation.heads)
-    flat = coeff.base.kind == "gaussian_radical"
     for value in z.terms.values():
         assert all(value.values())
-        for key in value:
-            exps = key[0] if flat else key
+        for exps, _ in value:
             assert (exps[i] < 2) if i == j else not (exps[i] and exps[j])
 
 

@@ -34,11 +34,17 @@ def test_scalar_ring_is_a_polynomial_ring_in_no_variables(coeff):
     assert coeff.monomials(three) == (((), three),)
     assert coeff.monomials(coeff.zero()) == ()
     assert coeff.monomial((), three) == three
+    # The (radicand, scalar) view by which a quotient ring over this ring keys its terms.
+    ((radicand, scalar),) = coeff.radicals(three)
+    assert radicand == 1 and scalar == coeff.term_scalars.from_int(3)
+    assert coeff.from_radicals({1: scalar}) == three
+    assert not coeff.radicals(coeff.zero()) and coeff.from_radicals({}) == coeff.zero()
 
 
 def test_quotient_ring_var_names_an_unknown_variable():
     ring = PolyQuotientRing(RationalRing(), ("x", "y"))
     assert ring.monomials(ring.var("y")) == (((0, 1), Fraction(1)),)
+    assert ring.var("y") == {((0, 1), 1): 1}  # a term is keyed (exponents, radicand) over any base
     with pytest.raises(DomainError, match="'z' is not a variable"):
         ring.var("z")
 

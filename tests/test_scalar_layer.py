@@ -1,8 +1,8 @@
 """The integer-triple Gaussian type against a Fraction-pair oracle, radical
-JSON normal form, ring identities that are built once, the flat
-``(exponents, radicand)`` layout of a quotient over radical scalars, and a
-pinned count of product passes in the supersphere projector and of sparse
-sums on the ``certify`` path of the cli."""
+JSON normal form, ring identities that are built once, the
+``(exponents, radicand)`` term keys of a quotient over radical scalars, and
+pinned counts of product passes and radicand products in the supersphere
+projector and of sparse sums on the ``certify`` path of the cli."""
 
 import json
 import math
@@ -338,6 +338,26 @@ def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
     # Rewriting each term product before collecting made 550 Gaussian products here;
     # collecting first rewrites each distinct term once.
     assert 0 < calls["gaussian"] <= 480
+
+
+def test_projector_squares_make_a_pinned_number_of_radicand_products(monkeypatch):
+    """A key with radicand 1 multiplies inline: only two radicands past 1 call ``radical_product``."""
+    p, g = projector_p(2), make_sphere_projector(2).g
+    calls = []
+    original = scalars.radical_product
+
+    def counting(s, t, c):
+        calls.append((s, t))
+        return original(s, t, c)
+
+    monkeypatch.setattr(scalars, "radical_product", counting)
+    assert p.compose(p) == p
+    # One call per term product, 480 here, while the supersphere ring had its own product loop.
+    assert 0 < len(calls) <= 74
+    assert all(s > 1 and t > 1 for s, t in calls)
+    calls.clear()
+    assert g.compose(g) == g
+    assert calls == []
 
 
 def test_certify_makes_a_pinned_number_of_sums_and_rational_products(monkeypatch, tmp_path, capsys):
