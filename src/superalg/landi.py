@@ -29,7 +29,7 @@ def make_uosp_ring() -> SuperRing:
     plain = PolyQuotientRing(base, variables)
     rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
     coeff = PolyQuotientRing(base, variables, Relation(("a", "ad"), rhs))
-    involution = Involution.from_pairs(
+    involution = Involution(
         even_pairs=[("a", "ad"), ("b", "bd")],
         odd_pairs=[("eta", "etad")],
     )

@@ -620,13 +620,18 @@ def _coeff_str(base, c):
 class Relation:
     """A single quadratic rewrite rule ``heads[0]*heads[1] -> rhs``.
 
-    ``heads`` is a pair of variable names; a square is the pair of one name,
-    so ``("x0", "x0")`` rewrites ``x0**2``.  ``rhs`` must not mention the
-    head variables, which makes the rewrite terminating and confluent.
+    ``heads`` is a pair of variable names, a tuple or a list (stored as a
+    tuple); a square is the pair of one name, so ``("x0", "x0")`` rewrites
+    ``x0**2``.  ``rhs`` must not mention the head variables, which makes the
+    rewrite terminating and confluent.
     """
 
     heads: tuple  # (u, v)
     rhs: dict  # a value of the ring
+
+    def __post_init__(self):
+        if isinstance(self.heads, list):  # not any iterable: tuple("xy") would split a string
+            object.__setattr__(self, "heads", tuple(self.heads))
 
 
 class PolyQuotientRing(CoeffRing):

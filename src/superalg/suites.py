@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import DomainError
-from .landi import inner, ket_entries, make_bra, make_uosp_ring, pi_apply, projector_p
+from .landi import inner, make_bra, make_uosp_ring, pi_apply, projector_p
 from .reports import SuiteReport, residual_witness
 from .scalars import IntegerModRing, collect
 from .spheres import make_sphere_projector, sphere_ring, stably_free_certificate, z6_example, z6_ring
@@ -400,7 +400,7 @@ def suite_trig(L: int = 6, count: int = 25, seed: int = 0) -> SuiteReport:
 
     sj, cj = sin_jet(L, ring.coeff), cos_jet(L, ring.coeff)
     report.add("D-sin-is-cos", sj.derivative() == cos_jet(L - 1, ring.coeff), "jet cycle shift")
-    neg_sin = Jet.from_dict(
+    neg_sin = Jet(
         1, L - 1, ring.coeff,
         {k: ring.coeff.neg(v) for k, v in sin_jet(L - 1, ring.coeff).table.items()},
     )
@@ -429,7 +429,7 @@ def suite_trig(L: int = 6, count: int = 25, seed: int = 0) -> SuiteReport:
                 for k, c in enumerate(cs) if k >= order
             )
             table[(order,)] = rr.from_fraction(Fraction(val))
-        return Jet.from_dict(1, 3, rr, table, base=(rr.from_fraction(base),))
+        return Jet(1, 3, rr, table, base=(rr.from_fraction(base),))
 
     def continuation_trials():
         for _ in range(count):
@@ -500,7 +500,7 @@ def suite_landi(n: int = 1, seed: int = 0) -> SuiteReport:
         (p.apply(v) == pv, {"v": v.coeffs}) for v, pv in cases
     ))
 
-    ket = ModElement(ring, bra.ftype, ket_entries(bra))
+    ket = ModElement(ring, bra.ftype, bra.ket)
     report.add("ket-eigenvector", pi_apply(bra, ket) == ket, "pi(|psi>) = |psi>")
     return report
 

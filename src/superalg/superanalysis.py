@@ -53,22 +53,17 @@ def body_point(p: SuperPoint):
     return tuple(x.body() for x in p.evens)
 
 
-def _check_degree(k, arity, order):
-    """``DomainError`` unless ``k`` is ``arity`` integers ``>= 0`` of total degree at most ``order``."""
-    if len(k) != arity or not all(type(d) is int and d >= 0 for d in k) or sum(k) > order:
-        raise DomainError(f"table degree {k} out of range for order {order}")
-
-
 @dataclass(frozen=True)
 class Jet:
     """Derivative table of a smooth function at a body point.
 
-    ``table`` is a dict from multi-degrees ``(i1, .., im)``, integers ``>= 0``
-    with total degree <= order, to nonzero coefficient-ring values, in no
-    order; missing entries are zero derivatives.  ``base`` is the body point,
-    or None when the base point is symbolic (the trig backend), in which case
-    continuation arguments must be pure souls.  A sum or product of two jets
-    has the smaller order of the two.
+    ``table`` maps multi-degrees ``(i1, .., im)``, tuples of ``arity`` ints
+    ``>= 0`` of total degree <= order, to coefficient-ring values, in no
+    order; missing entries are zero derivatives.  The constructor refuses any
+    other key with ``DomainError`` and keeps the nonzero values.  ``base`` is
+    the body point, or None when the base point is symbolic (the trig
+    backend), in which case continuation arguments must be pure souls.  A sum
+    or product of two jets has the smaller order of the two.
     """
 
     arity: int
@@ -77,20 +72,20 @@ class Jet:
     table: dict
     base: tuple = None
 
-    @classmethod
-    def from_dict(cls, arity, order, ring, table, base=None):
-        """The jet of ``table``, checked once; ``DomainError`` names a degree out of range."""
-        clean = {}
-        for k, v in table.items():
-            k = tuple(k)
-            _check_degree(k, arity, order)
+    def __post_init__(self):
+        arity, order = self.arity, self.order
+        table = {}
+        for k, v in self.table.items():
+            counts = type(k) is tuple and len(k) == arity and all(type(d) is int and d >= 0 for d in k)
+            if not counts or sum(k) > order:
+                raise DomainError(f"table degree {k} out of range for order {order}")
             if v:
-                clean[k] = v
-        return cls(arity, order, ring, clean, base)
+                table[k] = v
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def constant(cls, value, ring, arity=1, order=0, base=None):
-        return cls.from_dict(arity, order, ring, {(0,) * arity: value}, base)
+        return cls(arity, order, ring, {(0,) * arity: value}, base)
 
     def __add__(self, other):
         self._compat(other)
@@ -179,7 +174,6 @@ def _continue(jet: Jet, xs, ring) -> SuperElement:
 
     def taylor_terms():
         for degrees, value in jet.table.items():
-            _check_degree(degrees, jet.arity, jet.order)  # a jet built with ``Jet(...)`` skipped from_dict's check
             factors = [soul_power(memo, d) for memo, d in zip(powers, degrees) if d]
             if any(f.is_zero() for f in factors):
                 continue  # before 1/k! is formed: it need not exist in the coefficient ring
@@ -194,16 +188,15 @@ def _continue(jet: Jet, xs, ring) -> SuperElement:
 
 @dataclass(frozen=True)
 class SuperSmoothFn:
-    """A family of jets indexed by odd multi-indices (finite G-infinity data)."""
+    """Jets indexed by odd bitmasks below ``2**odd_arity``, checked when built (finite G-infinity data)."""
 
     odd_arity: int
     jets: dict  # odd bitmask -> Jet
 
-    @classmethod
-    def from_dict(cls, odd_arity, jets):
-        if any(b >> odd_arity for b in jets):
+    def __post_init__(self):
+        if any(type(b) is not int or b >> self.odd_arity for b in self.jets):
             raise DomainError("jet index exceeds the odd arity")
-        return cls(odd_arity, dict(jets))
+        object.__setattr__(self, "jets", dict(self.jets))
 
 
 def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
@@ -259,7 +252,7 @@ def _trig_jet(order: int, ring, phase: int) -> Jet:
         s, c = ring.zero(), ring.one()
         base = (s,)
     cycle = (s, c, ring.neg(s), ring.neg(c))
-    return Jet.from_dict(1, order, ring, {(k,): cycle[(k + phase) % 4] for k in range(order + 1)}, base)
+    return Jet(1, order, ring, {(k,): cycle[(k + phase) % 4] for k in range(order + 1)}, base)
 
 
 def sin_jet(order: int, ring=None) -> Jet:

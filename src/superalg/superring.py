@@ -75,7 +75,7 @@ from .scalars import (
 
 @dataclass(frozen=True)
 class Involution:
-    """Generator pairing for a graded involution: the pairs as given.
+    """Generator pairing for a graded involution: the pairs as given, each checked and stored as a tuple.
 
     Each of ``even_pairs`` swaps two even polynomial variables (a pair of one
     name fixes it); each of ``odd_pairs`` ``(u, v)`` sends ``u`` to ``v`` and
@@ -87,9 +87,12 @@ class Involution:
     even_pairs: tuple = ()  # tuple of (name, name)
     odd_pairs: tuple = ()  # tuple of (name, partner)
 
-    @classmethod
-    def from_pairs(cls, even_pairs=(), odd_pairs=()):
-        return cls(tuple(map(tuple, even_pairs)), tuple(map(tuple, odd_pairs)))
+    def __post_init__(self):
+        for field in ("even_pairs", "odd_pairs"):
+            pairs = getattr(self, field)
+            if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):  # a string is not a pair
+                raise DomainError(f"'{field}' must be a list of name pairs")
+            object.__setattr__(self, field, tuple(map(tuple, pairs)))
 
     def to_json(self):
         return {"even_pairs": [list(p) for p in self.even_pairs], "odd_pairs": [list(p) for p in self.odd_pairs]}
@@ -98,11 +101,11 @@ class Involution:
     def from_json(cls, data):
         def pairs(key):
             found = data.get(key, [])
-            if not isinstance(found, list) or any(len(json_names(p, key)) != 2 for p in found):
+            if not isinstance(found, list):
                 raise DomainError(f"'{key}' must be a list of name pairs")
-            return [tuple(p) for p in found]
+            return [json_names(p, key) for p in found]
 
-        return cls.from_pairs(pairs("even_pairs"), pairs("odd_pairs"))
+        return cls(pairs("even_pairs"), pairs("odd_pairs"))
 
 
 class SuperRing:
@@ -173,6 +176,7 @@ class SuperRing:
     # -- construction ------------------------------------------------------
 
     def element(self, terms) -> "SuperElement":
+        """The element of ``{bitmask: value}`` ``terms``, zero values dropped: the checked path (see SuperElement)."""
         return SuperElement(self, collect(self.coeff, terms.items()))
 
     def zero(self) -> "SuperElement":
@@ -347,7 +351,12 @@ def grassmann_ring(L: int, coeff: CoeffRing = None) -> SuperRing:
 
 
 class SuperElement:
-    """A finite sum of ``coefficient * odd-monomial`` terms in normal form."""
+    """A finite sum of ``coefficient * odd-monomial`` terms in normal form.
+
+    ``SuperElement(ring, terms)`` stores ``terms`` as given, unchecked: a dict
+    from odd bitmasks to nonzero values, or the element is neither zero nor
+    equal to ``ring.zero()``.  :meth:`SuperRing.element` is the checked path.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -449,11 +458,12 @@ class SuperElement:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative powers are not defined")
-        result = self.ring.one()
-        base = self
+        if not n:
+            return self.ring.one()
+        result, base = None, self
         while True:
-            if n & 1:
-                result = result * base
+            if n & 1:  # the power of the lowest set bit starts the product; one is never a factor
+                result = base if result is None else result * base
             n >>= 1
             if not n:
                 return result

@@ -125,6 +125,34 @@ MUTANTS = [
         ],
     ),
     (
+        "jet-degree-unchecked",
+        "superalg/superanalysis.py",
+        "if not counts or sum(k) > order:",
+        "if False:",
+        ["tests/test_superanalysis.py::TestJets::test_constructor_refuses_a_degree_that_is_not_a_count[-1]"],
+    ),
+    (
+        "jet-zeros-kept",
+        "superalg/superanalysis.py",
+        "            if v:\n                table[k] = v\n",
+        "            table[k] = v\n",
+        ["tests/test_superanalysis.py::TestJets::test_constructor_drops_zero_values"],
+    ),
+    (
+        "smooth-fn-arity-unchecked",
+        "superalg/superanalysis.py",
+        "if any(type(b) is not int or b >> self.odd_arity for b in self.jets):",
+        "if False:",
+        ["tests/test_superanalysis.py::TestGInfinity::test_constructor_refuses_an_index_past_the_odd_arity[past-arity]"],
+    ),
+    (
+        "involution-pairs-kept-as-given",
+        "superalg/superring.py",
+        "tuple(map(tuple, pairs))",
+        "pairs",
+        ["tests/test_superring.py::test_involution_pairs_given_as_lists_build_the_same_ring"],
+    ),
+    (
         "koszul-factor-dropped",
         "superalg/supermodule.py",
         "term = _koszul(phi.matrix[k][i], tgt2[l]) * _koszul(",

@@ -79,7 +79,7 @@ def test_scale_drops_zero_products_over_z6():
 SIX = SuperRing(
     RationalRing(),
     tuple(f"b{i}" for i in range(1, 7)),
-    Involution.from_pairs(odd_pairs=[("b1", "b4"), ("b2", "b6"), ("b3", "b5")]),
+    Involution(odd_pairs=[("b1", "b4"), ("b2", "b6"), ("b3", "b5")]),
 )
 
 
@@ -113,14 +113,14 @@ def test_involution_table_that_is_not_a_bijection_is_rejected():
     with pytest.raises(DomainError, match="not a bijection"):
         SuperRing(
             IntegerModRing(7), ("b1", "b2", "b3"),
-            Involution.from_pairs(odd_pairs=[("b1", "b2"), ("b1", "b3")]),
+            Involution(odd_pairs=[("b1", "b2"), ("b1", "b3")]),
         )
 
 
 def test_involution_table_that_leaves_an_odd_generator_unpaired_is_rejected():
     # An unpaired b3 would be fixed, so (b3**)** = b3 where the convention requires -b3.
     with pytest.raises(DomainError, match="involution table leaves odd generator 'b3' unpaired"):
-        SuperRing(RationalRing(), ("b1", "b2", "b3"), Involution.from_pairs(odd_pairs=[("b1", "b2")]))
+        SuperRing(RationalRing(), ("b1", "b2", "b3"), Involution(odd_pairs=[("b1", "b2")]))
     with pytest.raises(DomainError, match="leaves odd generator 'b1' unpaired"):
         SuperRing(RationalRing(), ("b1",), Involution())
 
@@ -131,11 +131,11 @@ QUOTIENT = PolyQuotientRing(RationalRing(), ("a", "ad", "b"))
 @pytest.mark.parametrize(
     "coeff, involution, message",
     [
-        (QUOTIENT, Involution.from_pairs(even_pairs=[("a", "zz")]), "unknown even generator 'zz'"),
-        (QUOTIENT, Involution.from_pairs(even_pairs=[("a", "ad"), ("a", "b")]), "'a' is paired twice"),
-        (RationalRing(), Involution.from_pairs(even_pairs=[("x", "y")]), "unknown even generator 'x'"),
-        (RationalRing(), Involution.from_pairs(odd_pairs=[("b1", "b1")]), "'b1' is paired twice"),
-        (RationalRing(), Involution.from_pairs(odd_pairs=[("b1", "b9")]), "unknown odd generator 'b9'"),
+        (QUOTIENT, Involution(even_pairs=[("a", "zz")]), "unknown even generator 'zz'"),
+        (QUOTIENT, Involution(even_pairs=[("a", "ad"), ("a", "b")]), "'a' is paired twice"),
+        (RationalRing(), Involution(even_pairs=[("x", "y")]), "unknown even generator 'x'"),
+        (RationalRing(), Involution(odd_pairs=[("b1", "b1")]), "'b1' is paired twice"),
+        (RationalRing(), Involution(odd_pairs=[("b1", "b9")]), "unknown odd generator 'b9'"),
     ],
     ids=["unknown-even", "even-twice", "even-on-scalar-ring", "odd-self-pair", "unknown-odd"],
 )
@@ -144,11 +144,19 @@ def test_involution_table_names_each_ring_generator_once(coeff, involution, mess
         SuperRing(coeff, ("b1", "b2"), involution)
 
 
+@pytest.mark.parametrize(
+    "pairs", [[("b1", "b2", "b3")], [("b1",)], ["b1"], ["ab"]], ids=["three-names", "one-name", "name", "string"]
+)
+def test_involution_refuses_a_pair_that_is_not_two_names(pairs):
+    with pytest.raises(DomainError, match="'odd_pairs' must be a list of name pairs"):
+        Involution(odd_pairs=pairs)
+
+
 def _uosp_relation_ring(even_pairs):
     plain = PolyQuotientRing(RationalRing(), ("a", "ad", "b", "bd"))
     rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
     coeff = PolyQuotientRing(RationalRing(), plain.variables, Relation(("a", "ad"), rhs))
-    return SuperRing(coeff, ("eta", "etad"), Involution.from_pairs(even_pairs, [("eta", "etad")]))
+    return SuperRing(coeff, ("eta", "etad"), Involution(even_pairs, [("eta", "etad")]))
 
 
 def test_involution_must_preserve_the_relation():
@@ -156,7 +164,7 @@ def test_involution_must_preserve_the_relation():
     a, ad = ring.generator("a"), ring.generator("ad")
     assert (a * ad).involute() == (a * ad)
     for swap in ([("x1", "x2")], [("x0", "x1")], [("x0", "x2"), ("x1", "x1")]):
-        SuperRing(sphere_coeff_ring(2), (), Involution.from_pairs(swap))
+        SuperRing(sphere_coeff_ring(2), (), Involution(swap))
     with pytest.raises(DomainError, match="does not preserve"):
         _uosp_relation_ring([("a", "b")])
     # x0^2 = i is sent to x0^2 = -i by conjugation alone.

@@ -186,13 +186,26 @@ def test_every_square_lead_spelling_gives_the_same_ring():
 
 @pytest.mark.parametrize(
     "heads",
-    [("x",), ("x", "x", "y"), ("x", "z"), "xy", ["x", "y"], ()],
-    ids=["one-name", "three-names", "unknown-name", "string", "list", "empty"],
+    [("x",), ("x", "x", "y"), ("x", "z"), "xy", ["x", "y", "x"], ()],
+    ids=["one-name", "three-names", "unknown-name", "string", "list-of-three", "empty"],
 )
 def test_relation_heads_must_be_a_pair_of_ring_variables(heads):
     one = PolyQuotientRing(RationalRing(), ("x", "y")).one()
     with pytest.raises(DomainError, match="not a pair of ring variables"):
         PolyQuotientRing(RationalRing(), ("x", "y"), Relation(heads, one))
+
+
+def test_relation_heads_may_be_a_list_of_two_names_but_not_a_string():
+    """A list pair reads as the JSON reader reads it; a string is not split into its characters."""
+    plain = PolyQuotientRing(RationalRing(), ("x", "y"))
+    rhs = plain.sub(plain.one(), plain.mul(plain.var("y"), plain.var("y")))
+    listed = PolyQuotientRing(RationalRing(), ("x", "y"), Relation(["x", "x"], rhs))
+    assert listed.relation == Relation(("x", "x"), rhs)
+    assert listed == circle_ring()
+    x = listed.var("x")
+    assert listed.to_str(listed.mul(x, x)) == "1 + -1*y^2"
+    with pytest.raises(DomainError, match="not a pair of ring variables"):
+        PolyQuotientRing(RationalRing(), ("x", "y"), Relation("xx", rhs))
 
 
 @pytest.mark.parametrize("lead", ["x*y*x", [], ["x", "y", "x"]])

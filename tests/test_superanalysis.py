@@ -52,7 +52,7 @@ def poly_jet(cs, base, order=4):
                     coeff *= m
                 val += coeff * base ** (k - d)
         table[(d,)] = Fraction(val)
-    return Jet.from_dict(1, order, RR, table, base=(base,))
+    return Jet(1, order, RR, table, base=(base,))
 
 
 class TestJets:
@@ -127,14 +127,30 @@ class TestJets:
         assert sin_jet(5) + cos_jet(3) == expected
         assert cos_jet(3) + sin_jet(5) == expected
 
-    @pytest.mark.parametrize("degree", [-1, 1.5, Fraction(1, 2)])
-    def test_from_dict_refuses_a_degree_that_is_not_a_count(self, degree):
+    @pytest.mark.parametrize("degree", [-1, 1.5, Fraction(1, 2), Fraction(3, 2), True])
+    def test_constructor_refuses_a_degree_that_is_not_a_count(self, degree):
         with pytest.raises(DomainError, match="out of range"):
-            Jet.from_dict(1, 2, RR, {(degree,): 1}, base=(0,))
+            Jet(1, 2, RR, {(degree,): 1}, base=(0,))
+
+    @pytest.mark.parametrize(
+        "table",
+        [{5: 1}, {(0, 0): 1}, {(3,): 1}],
+        ids=["bare-int", "wrong-arity", "past-order"],
+    )
+    def test_constructor_refuses_a_key_that_is_not_a_degree(self, table):
+        with pytest.raises(DomainError, match="out of range for order 2"):
+            Jet(1, 2, RR, table, (0,))
+
+    def test_constructor_drops_zero_values(self):
+        jet = Jet(1, 2, RR, {(0,): 0, (1,): Fraction(0)}, (0,))
+        assert jet == Jet(1, 2, RR, {}, (0,))
+        assert jet.is_zero()
+        table = {(0,): 1, (2,): 0}
+        assert Jet(1, 2, RR, table, (0,)).table == {(0,): 1} and table == {(0,): 1, (2,): 0}
 
     @pytest.mark.parametrize("degree", ["-1", "Fraction(3, 2)"])
     def test_continuation_refuses_a_directly_built_degree_that_is_not_a_count(self, degree):
-        """``Jet(...)`` skips ``from_dict``'s check; continuing it must fail, not step past the soul powers forever."""
+        """The bad jet is refused when it is built, so continuation never steps past the soul powers forever."""
         code = (
             "from fractions import Fraction\n"
             "from superalg.errors import DomainError\n"
@@ -142,8 +158,8 @@ class TestJets:
             "from superalg.superanalysis import Jet, continue_analytically\n"
             "from superalg.superring import grassmann_ring\n"
             "ring = grassmann_ring(2)\n"
-            f"jet = Jet(1, 2, RationalRing(), {{({degree},): 1}}, (0,))\n"
             "try:\n"
+            f"    jet = Jet(1, 2, RationalRing(), {{({degree},): 1}}, (0,))\n"
             "    continue_analytically(jet, [ring.odd_gen_at(1) * ring.odd_gen_at(2)])\n"
             "except DomainError as exc:\n"
             "    print(exc)\n"
@@ -161,7 +177,7 @@ class TestGInfinity:
     def test_single_even_jet_reduces_to_continuation(self):
         ring = grassmann_ring(3)
         f = poly_jet([Fraction(1), Fraction(2)], Fraction(0))
-        F = SuperSmoothFn.from_dict(1, {0: f})
+        F = SuperSmoothFn(1, {0: f})
         x = random_even_soul(random.Random(2), ring)
         p = SuperPoint((x,), (ring.odd_gen_at(1),))
         assert eval_g_infinity(F, p) == continue_analytically(f, [x])
@@ -169,7 +185,7 @@ class TestGInfinity:
     def test_odd_coordinate_passthrough(self):
         ring = grassmann_ring(3)
         one = Jet.constant(Fraction(1), RR, base=(Fraction(0),))
-        F = SuperSmoothFn.from_dict(1, {0b1: one})
+        F = SuperSmoothFn(1, {0b1: one})
         xi = ring.odd_gen_at(2)
         p = SuperPoint((ring.zero(),), (xi,))
         assert eval_g_infinity(F, p) == xi
@@ -177,16 +193,27 @@ class TestGInfinity:
     def test_pair_index_multiplies_in_order(self):
         ring = grassmann_ring(3)
         t = poly_jet([Fraction(0), Fraction(1)], Fraction(0))
-        F = SuperSmoothFn.from_dict(2, {0b11: t})
+        F = SuperSmoothFn(2, {0b11: t})
         x = ring.odd_gen_at(1) * ring.odd_gen_at(2)
         xi1, xi2 = ring.odd_gen_at(1), ring.odd_gen_at(3)
         p = SuperPoint((x,), (xi1, xi2))
         assert eval_g_infinity(F, p) == x * xi1 * xi2
 
+    @pytest.mark.parametrize("bits", [0b10, -1, 1.0], ids=["past-arity", "negative", "float"])
+    def test_constructor_refuses_an_index_past_the_odd_arity(self, bits):
+        with pytest.raises(DomainError, match="exceeds the odd arity"):
+            SuperSmoothFn(1, {bits: Jet.constant(Fraction(1), RR, base=(Fraction(0),))})
+
+    def test_constructor_copies_the_jets(self):
+        jets = {0: Jet.constant(Fraction(1), RR, base=(Fraction(0),))}
+        F = SuperSmoothFn(1, jets)
+        jets[0b10] = jets[0]
+        assert list(F.jets) == [0]
+
     def test_arity_zero_jets_continue_to_their_constants(self):
         ring = grassmann_ring(2)
         three = Jet.constant(Fraction(3), RR, arity=0)
-        F = SuperSmoothFn.from_dict(2, {0: three, 0b11: three})
+        F = SuperSmoothFn(2, {0: three, 0b11: three})
         xi1, xi2 = ring.odd_gen_at(1), ring.odd_gen_at(2)
         expect = ring.from_fraction(3) + (xi1 * xi2).scale(Fraction(3))
         assert eval_g_infinity(F, SuperPoint((), (xi1, xi2))) == expect
@@ -263,7 +290,7 @@ class TestTrig:
         tring = trig_coeff_ring()
         for L in (2, 4, 6):
             assert sin_jet(L, tring).derivative() == cos_jet(L - 1, tring)
-            minus_sin = Jet.from_dict(
+            minus_sin = Jet(
                 1, L - 1, tring,
                 {k: tring.neg(v) for k, v in sin_jet(L - 1, tring).table.items()},
             )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from superalg.errors import DomainError
 from superalg.scalars import IntegerModRing
+from superalg.spheres import sphere_ring
 from superalg.superring import Involution, SuperElement, SuperRing, grassmann_ring
 from superalg.suites import random_element, random_homogeneous
 
@@ -83,10 +84,16 @@ def test_powers_and_nilpotency():
 
 
 def test_power_squares_only_while_bits_remain(monkeypatch):
-    """``x ** n`` makes one product per set bit and one squaring per bit below the top."""
+    """``x ** n`` makes one squaring per bit below the top and one product per set bit past the lowest.
+
+    So no product with one: ``x**1``, ``x**2`` and ``x**5`` make 0, 1 and 3,
+    over a Grassmann ring and over a sphere (quotient) ring alike.
+    """
     ring = grassmann_ring(6)
     b = ring.odd_gen_at
     x = ring.from_fraction(2) + b(1) * b(2) - b(2) * b(3) + b(3) * b(4) * b(5) * b(6) + b(5)
+    sphere = sphere_ring(2, odd_names=("b1", "b2"))
+    y = sphere.even_gen("x1") + sphere.odd_gen_at(1) * sphere.odd_gen_at(2)
     multiply = SuperElement.__mul__
     calls = 0
 
@@ -96,13 +103,14 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
         return multiply(self, other)
 
     monkeypatch.setattr(SuperElement, "__mul__", counting)
-    expected = ring.one()
-    for n in range(1, 10):
-        calls = 0
-        power = x ** n
-        assert calls == n.bit_count() + n.bit_length() - 1, n
-        expected = multiply(expected, x)
-        assert power == expected
+    for z in (x, y):
+        expected = z.ring.one()
+        for n in range(1, 10):
+            calls = 0
+            power = z ** n
+            assert calls == n.bit_count() + n.bit_length() - 2, n
+            expected = multiply(expected, z)
+            assert power == expected
 
 
 @pytest.mark.parametrize("index", [0, 3])
@@ -141,11 +149,11 @@ def test_scale_and_int_multiples():
 
 class TestInvolution:
     def make_ring(self):
-        inv = Involution.from_pairs(odd_pairs=[("eta", "etad")])
+        inv = Involution(odd_pairs=[("eta", "etad")])
         return SuperRing(IntegerModRing(6), ("eta", "etad"), inv)  # any coeff works
 
     def make_rational_ring(self):
-        inv = Involution.from_pairs(odd_pairs=[("eta", "etad")])
+        inv = Involution(odd_pairs=[("eta", "etad")])
         from superalg.scalars import RationalRing
 
         return SuperRing(RationalRing(), ("eta", "etad"), inv)
@@ -194,11 +202,23 @@ def test_element_json_round_trip(seed):
 
 
 def test_ring_json_round_trip():
-    inv = Involution.from_pairs(odd_pairs=[("eta", "etad")])
+    inv = Involution(odd_pairs=[("eta", "etad")])
     ring = SuperRing(IntegerModRing(6), ("eta", "etad"), inv)
     rebuilt = SuperRing.from_json(ring.to_json())
     assert rebuilt == ring
     assert rebuilt.involution == inv
+
+
+def test_involution_pairs_given_as_lists_build_the_same_ring():
+    from superalg.landi import make_uosp_ring
+
+    uosp = make_uosp_ring()
+    inv = Involution(even_pairs=[["a", "ad"], ["b", "bd"]], odd_pairs=[["eta", "etad"]])
+    listed = SuperRing(uosp.coeff, ("eta", "etad"), inv)
+    assert inv == uosp.involution and hash(inv) == hash(uosp.involution)
+    assert listed == uosp and listed.to_json() == uosp.to_json()
+    eta = uosp.odd_gen("eta")
+    assert listed.odd_gen("eta") + eta == eta + eta  # no RingMismatchError
 
 
 def test_capacity_and_duplicates():
