@@ -63,6 +63,11 @@ class BraVector:
         """``ket_entries(self)``, involuted once per bra."""
         return ket_entries(self)
 
+    def projector(self) -> SuperMorphism:
+        """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n), from :attr:`ket`."""
+        matrix = [[ki * psij for psij in self.entries] for ki in self.ket]
+        return SuperMorphism(self.ring, self.ftype, self.ftype, matrix)
+
 
 def make_bra(n: int, ring: SuperRing = None) -> BraVector:
     if n < 1:
@@ -93,11 +98,8 @@ def ket_entries(bra: BraVector) -> tuple:
 
 
 def projector_p(n: int, ring: SuperRing = None) -> SuperMorphism:
-    """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n)."""
-    bra = make_bra(n, ring)
-    ket = ket_entries(bra)
-    matrix = [[ki * psij for psij in bra.entries] for ki in ket]
-    return SuperMorphism(bra.ring, bra.ftype, bra.ftype, matrix)
+    """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n): ``make_bra(n, ring).projector()``."""
+    return make_bra(n, ring).projector()
 
 
 def pi_apply(bra: BraVector, v: ModElement) -> ModElement:

@@ -20,12 +20,16 @@ Ring values are plain data: ``int`` or ``Fraction`` for a rational (an
 integral rational is stored as its ``int`` numerator), ``GaussianRational``,
 ``int`` mod n, and two sparse dicts -- the radical value (radicand to
 Gaussian coefficient) and the quotient polynomial.  A quotient value is one
-flat dict keyed by ``(exponent tuple, squarefree radicand)``, whatever its
-base: a scalar ring reads as radicand 1 only (``CoeffRing.radicals``), and
-the stored scalars live in the base's ``term_scalars`` ring, so no radical
-dict nests inside a quotient value; its ``monomials`` regroups the terms of
-each exponent tuple into a base scalar.  All operations go through the ring
-object, which owns the normal form.  A
+flat dict keyed by ``(packed exponents, squarefree radicand)``, whatever its
+base: the exponent of variable ``i`` is the 16-bit field at bit ``16*i`` of
+one int, so two keys multiply by one int add, and the top bit of each field
+is a guard bit, so an exponent is at most :data:`MAX_EXPONENT` (32,767) and a
+larger one raises ``DomainError``.  A scalar ring reads as radicand 1 only
+(``CoeffRing.radicals``), and the stored scalars live in the base's
+``term_scalars`` ring, so no radical dict nests inside a quotient value; its
+``monomials`` unpacks each key once into an exponent tuple and regroups the
+radicands of each tuple into a base scalar.  All operations go through the
+ring object, which owns the normal form.  A
 ``GaussianRational`` is a reduced integer triple ``(a + b*i)/d``, so
 Gaussian and radical arithmetic builds no ``Fraction``.  Every value is
 falsy exactly when it is zero, which is the zero test.  A sparse value is
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -634,15 +639,26 @@ class Relation:
             object.__setattr__(self, "heads", tuple(self.heads))
 
 
+EXPONENT_BITS = 16  # the width of one variable's field in a packed exponent key
+MAX_EXPONENT = (1 << EXPONENT_BITS - 1) - 1  # 32,767: the top bit of each field is its guard bit
+_FIELD = (1 << EXPONENT_BITS) - 1
+
+
 class PolyQuotientRing(CoeffRing):
     """Commutative polynomials over a base scalar ring, modulo one relation.
 
-    A value maps a term key ``(exponents, squarefree radicand)`` to a nonzero
-    scalar of ``base.term_scalars``: over a base without radicals the radicand
-    is 1 and the scalar a base value, and over ``gaussian_radical`` scalars it
-    is a ``GaussianRational``, so that no radical dict nests in a term.
-    ``monomials``, ``monomial``, ``from_scalar`` and the JSON forms speak in
-    ``(exponents, base scalar)`` pairs.
+    A value maps a term key ``(packed exponents, squarefree radicand)`` to a
+    nonzero scalar of ``base.term_scalars``: over a base without radicals the
+    radicand is 1 and the scalar a base value, and over ``gaussian_radical``
+    scalars it is a ``GaussianRational``, so that no radical dict nests in a
+    term.  The exponent of variable ``i`` is the :data:`EXPONENT_BITS` field
+    at bit ``16*i`` of one int, so a product of two terms adds their keys'
+    ints.  Operands hold exponents of at most :data:`MAX_EXPONENT`, so a sum
+    of two fields never carries into the next; it sets the field's top
+    (guard) bit when it passes the limit, and every result is tested for a
+    guard bit once, where its terms are visited anyway, raising
+    ``DomainError``.  ``monomials``, ``monomial``, ``from_scalar`` and the
+    JSON forms speak in ``(exponent tuple, base scalar)`` pairs.
     """
 
     kind = "poly_quotient"
@@ -653,6 +669,10 @@ class PolyQuotientRing(CoeffRing):
         self._scalars = base.term_scalars
         self.variables = tuple(variables)
         self._var_pos = {v: i for i, v in enumerate(self.variables)}
+        n = len(self.variables)
+        self._guard = sum(1 << EXPONENT_BITS * (i + 1) - 1 for i in range(n))  # every field's top bit
+        self._fields, self._width = struct.Struct(f"<{n}H"), 2 * n  # a key's fields, lowest first
+        self._rename_plans = {}
         if len(self._var_pos) != len(self.variables):
             raise DomainError(f"ring variables must be distinct, not {list(self.variables)}")
         if "i" in self._var_pos and base.imaginary_unit() is not None:
@@ -663,6 +683,8 @@ class PolyQuotientRing(CoeffRing):
             if not isinstance(heads, tuple) or len(heads) != 2 or not all(h in self._var_pos for h in heads):
                 raise DomainError(f"relation heads {heads!r} are not a pair of ring variables")
             self._heads = tuple(self._var_pos[h] for h in heads)
+            self._head_shifts = tuple(EXPONENT_BITS * i for i in self._heads)
+            self._head_step = sum(1 << shift for shift in self._head_shifts)  # one of each head
             for exps, _ in self.monomials(relation.rhs):
                 if any(exps[i] for i in self._heads):
                     raise DomainError("relation right-hand side must not mention its head variables")
@@ -670,9 +692,29 @@ class PolyQuotientRing(CoeffRing):
 
     # -- construction -----------------------------------------------------
 
-    def _terms(self, exps, c):
-        """The base scalar ``c`` times the monomial ``exps``, as ``(key, scalar)`` pairs."""
-        return [((exps, s), g) for s, g in self.base.radicals(c)]
+    def _pack(self, exps):
+        """The packed key of ``exps``, one integer in ``0..MAX_EXPONENT`` per variable; ``DomainError`` otherwise."""
+        exps = tuple(exps)
+        try:  # struct refuses a wrong count and a field past 16 bits; the guard bits, one past 15
+            packed = int.from_bytes(self._fields.pack(*exps), "little")
+            if not packed & self._guard:
+                return packed
+        except struct.error:
+            pass
+        if len(exps) != len(self.variables):
+            raise DomainError(f"{len(exps)} exponents given for the {len(self.variables)} ring variables")
+        name, e = next((v, e) for v, e in zip(self.variables, exps) if type(e) is not int or not 0 <= e <= MAX_EXPONENT)
+        raise DomainError(f"the exponent of {name} must be an integer in 0..{MAX_EXPONENT}, not {e!r}")
+
+    def _past_limit(self, packed):
+        """The ``DomainError`` for a key with a guard bit: an exponent reached past :data:`MAX_EXPONENT`."""
+        exps = self._fields.unpack(packed.to_bytes(self._width, "little"))
+        name, e = next((name, e) for name, e in zip(self.variables, exps) if e > MAX_EXPONENT)
+        return DomainError(f"the exponent of {name} reaches {e}, past {MAX_EXPONENT}, the largest a term holds")
+
+    def _terms(self, packed, c):
+        """The base scalar ``c`` times the monomial with packed exponents, as ``(key, scalar)`` pairs."""
+        return [((packed, s), g) for s, g in self.base.radicals(c)]
 
     def zero(self):
         return {}
@@ -681,7 +723,7 @@ class PolyQuotientRing(CoeffRing):
         return self.from_scalar(self.base.from_fraction(fr))
 
     def from_scalar(self, c):
-        return dict(self._terms((0,) * len(self.variables), c))
+        return dict(self._terms(0, c))
 
     def imaginary_unit(self):
         i = self.base.imaginary_unit()
@@ -690,16 +732,28 @@ class PolyQuotientRing(CoeffRing):
     def var(self, name):
         if name not in self._var_pos:
             return super().var(name)
-        return dict(self._terms(tuple(int(v == name) for v in self.variables), self.base.one()))
+        return dict(self._terms(1 << EXPONENT_BITS * self._var_pos[name], self.base.one()))
 
     def monomials(self, u):
+        """``(exponents, base scalar)`` pairs in exponent order; each key is unpacked once."""
+        unpack, width = self._fields.unpack, self._width
+        if self._scalars is self.base:  # no radicals: one term per key
+            return tuple(sorted([(unpack(e.to_bytes(width, "little")), c) for (e, _), c in u.items()]))
         radicals = {}
-        for (exps, s), c in u.items():
-            radicals.setdefault(exps, {})[s] = c
-        return tuple(sorted((exps, self.base.from_radicals(r)) for exps, r in radicals.items()))
+        for (e, s), c in u.items():
+            r = radicals.get(e)
+            if r is None:
+                radicals[e] = {s: c}
+            else:
+                r[s] = c
+        from_radicals = self.base.from_radicals
+        return tuple(sorted([(unpack(e.to_bytes(width, "little")), from_radicals(r)) for e, r in radicals.items()]))
 
     def monomial(self, exps, c):
-        return self.normal_form_dict(self._terms(tuple(exps), c))
+        packed = self._pack(exps)
+        if self.relation is not None and self._lead_power(packed):
+            return self.normal_form_dict(self._terms(packed, c))
+        return dict(self._terms(packed, c))  # one monomial without the lead product is in normal form
 
     # -- normal form -------------------------------------------------------
 
@@ -711,11 +765,12 @@ class PolyQuotientRing(CoeffRing):
     def _products(self, products, out):
         """``out`` plus every term product of ``(tag, negate, u, v)`` quadruples.
 
-        Each product is keyed ``(tag, exponents, radicand)`` and added into
-        ``out`` as it is formed; zeros are dropped once, from the dict
-        returned.  ``out`` itself is filled in place.
+        Each product is keyed ``(tag, packed exponents, radicand)`` and added
+        into ``out`` as it is formed; zeros are dropped once, from the dict
+        returned.  ``out`` itself is filled in place.  No exponent is tested
+        here: the caller tests each result once (see the class docstring).
         """
-        get, add = out.get, operator.add
+        get = out.get
         plus, mul, neg = self._scalars.add, self._scalars.mul, self._scalars.neg
         for tag, negate, u, v in products:
             right = v.items()
@@ -728,52 +783,66 @@ class PolyQuotientRing(CoeffRing):
                         r = s * t
                     else:
                         r, c = radical_product(s, t, c)
-                    key = (tag, tuple(map(add, e1, e2)), r)
+                    key = (tag, e1 + e2, r)
                     acc = get(key)
                     out[key] = c if acc is None else plus(acc, c)
         return {key: c for key, c in out.items() if c}
 
+    def _lead_power(self, exps):
+        """How many times the relation's lead product divides the packed monomial ``exps``."""
+        i, j = self._head_shifts
+        return (exps >> i & _FIELD) // 2 if i == j else min(exps >> i & _FIELD, exps >> j & _FIELD)
+
     def _normal_form(self, terms):
-        """The normal form, tag by tag, of nonzero scalars keyed ``(tag, exponents, radicand)``, keyed alike.
+        """The normal form, tag by tag, of nonzero scalars keyed ``(tag, packed exponents, radicand)``, keyed alike.
 
         The lead product is rewritten ``k`` times out of each term (``head *
         rhs**k``, already in normal form) and the rewrites are added into the
         terms that need none, so a term that several products share is
-        rewritten once.
+        rewritten once.  A rewritten head that still has a guard bit raises
+        ``DomainError`` before its product with ``rhs**k``, which could carry.
         """
         if self.relation is None:
             return terms
-        i, j = self._heads
+        lead_power, step, guard = self._lead_power, self._head_step, self._guard
         kept, rewrites = {}, []
         for tagged, c in terms.items():
             tag, exps, s = tagged
-            k = exps[i] // 2 if i == j else min(exps[i], exps[j])
+            k = lead_power(exps)
             if k == 0:
                 kept[tagged] = c
                 continue
-            exps = list(exps)
-            exps[i] -= k
-            exps[j] -= k
-            rewrites.append((tag, False, {(tuple(exps), s): c}, self._rhs_power(k)))
+            exps -= k * step
+            if exps & guard:
+                raise self._past_limit(exps)
+            rewrites.append((tag, False, {(exps, s): c}, self._rhs_power(k)))
         if not rewrites:
             return terms
         return self._products(rewrites, kept)
 
     def normal_form_dict(self, terms):
-        """The normal form of the sum of ``(key, scalar)`` pairs: collect, then rewrite."""
+        """The normal form of the sum of ``(key, scalar)`` pairs: collect, rewrite, test the exponents."""
         tagged = collect(self._scalars, (((None, exps, s), c) for (exps, s), c in terms))
-        return {(exps, s): c for (_, exps, s), c in self._normal_form(tagged).items()}
+        out, guard = {}, self._guard
+        for (_, exps, s), c in self._normal_form(tagged).items():
+            if exps & guard:
+                raise self._past_limit(exps)
+            out[exps, s] = c
+        return out
 
     def sum_of_products(self, products) -> dict:
         """``{tag: value}``: the normal form of the sum of ``±u*v`` over ``(tag, negate, u, v)`` quadruples.
 
-        Every term product is added, keyed by ``(tag, exponents, radicand)``,
-        into one dict as it is formed, and the sum is normalized once
-        (:meth:`_normal_form`) however many quadruples share a tag; a tag whose
-        sum is zero is absent.
+        Every term product is added, keyed by ``(tag, packed exponents,
+        radicand)``, into one dict as it is formed, and the sum is normalized
+        once (:meth:`_normal_form`) however many quadruples share a tag; a tag
+        whose sum is zero is absent.  A term with an exponent past
+        :data:`MAX_EXPONENT` raises ``DomainError``.
         """
-        out = {}
+        out, guard = {}, self._guard
         for (tag, exps, s), c in self._normal_form(self._products(products, {})).items():
+            if exps & guard:  # one test per output term, none per term product
+                raise self._past_limit(exps)
             value = out.get(tag)
             if value is None:
                 out[tag] = {(exps, s): c}
@@ -795,17 +864,44 @@ class PolyQuotientRing(CoeffRing):
     def conj(self, u):
         return {e: self._scalars.conj(c) for e, c in u.items()}
 
+    def _rename_plan(self, perm):
+        """``(moves, normal)`` for the permutation ``perm`` of variable positions, built once per ``perm``.
+
+        ``moves`` holds one ``(mask, left, right)`` per distance a field
+        moves: ``(key & mask) << left >> right`` places every field that
+        moves that far.  ``normal`` is whether renamed normal-form terms are
+        still in normal form: the permutation sends the relation's head pair
+        to itself, so a renamed term holds the lead product only if the term
+        held it, and being a bijection it merges no two terms.
+        """
+        plan = self._rename_plans.get(perm)
+        if plan is None:
+            masks = {}
+            for src, dst in enumerate(perm):
+                shift = EXPONENT_BITS * (dst - src)
+                masks[shift] = masks.get(shift, 0) | _FIELD << EXPONENT_BITS * src
+            moves = tuple((mask, max(shift, 0), max(-shift, 0)) for shift, mask in masks.items())
+            normal = self.relation is None or sorted(perm[h] for h in self._heads) == sorted(self._heads)
+            plan = self._rename_plans[perm] = (moves, normal)
+        return plan
+
     def substitute_vars(self, u, mapping):
-        """Rename variables per ``mapping`` (a permutation of variable names)."""
-        perm = [self._var_pos[mapping.get(v, v)] for v in self.variables]
+        """Rename variables per ``mapping`` (a permutation of variable names) by moving exponent fields.
+
+        The renamed terms are normalized only when the permutation moves the
+        relation's head pair (see :meth:`_rename_plan`); the involutions of
+        the uosp and sphere rings do not.
+        """
+        moves, normal = self._rename_plan(tuple(self._var_pos[mapping.get(v, v)] for v in self.variables))
 
         def renamed(exps):
-            new = [0] * len(exps)
-            for src, dst in enumerate(perm):
-                new[dst] = exps[src]
-            return tuple(new)
+            new = 0
+            for mask, left, right in moves:
+                new |= (exps & mask) << left >> right
+            return new
 
-        return self.normal_form_dict(((renamed(exps), s), c) for (exps, s), c in u.items())
+        terms = (((renamed(exps), s), c) for (exps, s), c in u.items())
+        return dict(terms) if normal else self.normal_form_dict(terms)
 
     def to_str(self, u):
         if not u:
@@ -848,7 +944,7 @@ class PolyQuotientRing(CoeffRing):
                     if v not in self._var_pos:
                         raise DomainError(f"{v!r} is not a variable of the ring")
                     exps[self._var_pos[v]] = json_count(e, f"the exponent of {v}")
-                yield from self._terms(tuple(exps), self.base.value_from_json(item["c"]))
+                yield from self._terms(self._pack(exps), self.base.value_from_json(item["c"]))
 
         return self.normal_form_dict(terms())
 

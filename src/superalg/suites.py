@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import DomainError
-from .landi import inner, make_bra, make_uosp_ring, pi_apply, projector_p
+from .landi import inner, make_bra, make_uosp_ring, pi_apply
 from .reports import SuiteReport, residual_witness
 from .scalars import IntegerModRing, collect
 from .spheres import make_sphere_projector, sphere_ring, stably_free_certificate, z6_example, z6_ring
@@ -59,10 +59,11 @@ def _coeff_sampler(ring: SuperRing):
     if coeff.variables:
 
         def term(rng):
-            value = coeff.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            c = coeff.base.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            exps = [0] * len(coeff.variables)
             for _ in range(rng.randint(0, 2)):
-                value = coeff.mul(value, coeff.var(rng.choice(coeff.variables)))
-            return value
+                exps[coeff.variables.index(rng.choice(coeff.variables))] += 1
+            return coeff.monomial(exps, c)
 
         return lambda rng: reduce(coeff.add, [term(rng) for _ in range(rng.randint(1, 2))])
     return lambda rng: coeff.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
@@ -486,7 +487,7 @@ def suite_landi(n: int = 1, seed: int = 0) -> SuiteReport:
     ip = inner(bra)
     report.add("inner-is-one", ip == ring.one(), f"<psi|psi> = {ip.to_text()}")
 
-    p = projector_p(n, ring)
+    p = bra.projector()
     residual = p.idempotence_residual()
     report.add("idempotent", not residual, residual_witness("residual p^2 - p", residual))
     report.add("self-adjoint", p.super_adjoint() == p, "p+ = p")

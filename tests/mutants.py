@@ -31,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SQUARES = "tests/test_grassmann_squares.py"
 CANCELLATION = "tests/test_product_cancellation.py"
+PACKED = "tests/test_packed_keys.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -103,8 +104,8 @@ MUTANTS = [
     (
         "rewrite-radicand-dropped",
         "superalg/scalars.py",
-        "{(tuple(exps), s): c}",
-        "{(tuple(exps), 1): c}",
+        "rewrites.append((tag, False, {(exps, s): c}",
+        "rewrites.append((tag, False, {(exps, 1): c}",
         ["tests/test_normal_form_oracle.py::test_normal_form_matches_sympy_reduced"],
     ),
     (
@@ -183,16 +184,37 @@ MUTANTS = [
     (
         "relation-always-min",
         "superalg/scalars.py",
-        "k = exps[i] // 2 if i == j else min(exps[i], exps[j])",
-        "k = min(exps[i], exps[j])",
+        "return (exps >> i & _FIELD) // 2 if i == j else min(exps >> i & _FIELD, exps >> j & _FIELD)",
+        "return min(exps >> i & _FIELD, exps >> j & _FIELD)",
         ["tests/test_normal_form_oracle.py::test_normal_form_matches_sympy_reduced"],
     ),
     (
         "rewrite-one-step",
         "superalg/scalars.py",
-        "k = exps[i] // 2 if i == j else min(exps[i], exps[j])",
-        "k = min(1, exps[i] // 2 if i == j else min(exps[i], exps[j]))",
+        "return (exps >> i & _FIELD) // 2 if i == j else min(exps >> i & _FIELD, exps >> j & _FIELD)",
+        "return min(1, (exps >> i & _FIELD) // 2 if i == j else min(exps >> i & _FIELD, exps >> j & _FIELD))",
         ["tests/test_flat_products.py::test_product_matches_the_term_by_term_reference"],
+    ),
+    (
+        "exponent-guard-dropped",
+        "superalg/scalars.py",
+        "if exps & guard:  # one test per output term, none per term product",
+        "if False:",
+        [f"{PACKED}::test_the_largest_exponent_is_32767"],
+    ),
+    (
+        "rewrite-guard-dropped",
+        "superalg/scalars.py",
+        "exps -= k * step\n            if exps & guard:",
+        "exps -= k * step\n            if False:",
+        [f"{PACKED}::test_a_rewrite_that_would_carry_is_refused"],
+    ),
+    (
+        "rename-never-normalizes",
+        "superalg/scalars.py",
+        "normal = self.relation is None or sorted(perm[h] for h in self._heads) == sorted(self._heads)",
+        "normal = True",
+        [f"{PACKED}::test_substitute_vars_matches_sympy_reduced[uosp-heads-moved]"],
     ),
     (
         "uosp-odd-sign-flipped",

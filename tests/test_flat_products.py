@@ -106,7 +106,7 @@ def assert_stored_form(z):
     i, j = (coeff.variables.index(h) for h in coeff.relation.heads)
     for value in z.terms.values():
         assert all(value.values())
-        for exps, _ in value:
+        for exps, _ in coeff.monomials(value):
             assert (exps[i] < 2) if i == j else not (exps[i] and exps[j])
 
 

@@ -44,7 +44,7 @@ def test_scalar_ring_is_a_polynomial_ring_in_no_variables(coeff):
 def test_quotient_ring_var_names_an_unknown_variable():
     ring = PolyQuotientRing(RationalRing(), ("x", "y"))
     assert ring.monomials(ring.var("y")) == (((0, 1), Fraction(1)),)
-    assert ring.var("y") == {((0, 1), 1): 1}  # a term is keyed (exponents, radicand) over any base
+    assert ring.var("y") == ring.monomial((0, 1), 1)
     with pytest.raises(DomainError, match="'z' is not a variable"):
         ring.var("z")
 
