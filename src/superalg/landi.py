@@ -7,6 +7,11 @@ with its partner.  For every n the bra vector ``psi_n`` (n+1 even entries
 and n odd entries) satisfies ``<psi|psi> = sum_i psi_i * psi_i** = 1``
 exactly, so ``p[i][j] = psi_i** * psi_j`` is a self-adjoint idempotent and
 ``v -> |psi> <psi|v>`` is the corresponding rank-one projection.
+
+Each bra entry is built from one coefficient monomial (:func:`make_bra`),
+the projector forms each row of ``p`` in one sum-of-products pass, and
+``inner`` and ``pi_apply`` form ``<psi|psi>``, ``<psi|v>`` and the column
+``|psi> <psi|v>`` in one pass each (:meth:`SuperRing.sums_of_products`).
 """
 
 from __future__ import annotations
@@ -64,26 +69,50 @@ class BraVector:
         return ket_entries(self)
 
     def projector(self) -> SuperMorphism:
-        """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n), from :attr:`ket`."""
-        matrix = [[ki * psij for psij in self.entries] for ki in self.ket]
+        """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n), from :attr:`ket`.
+
+        Each row is one sum-of-products pass (:meth:`SuperRing.sums_of_products`).
+        """
+        sums = self.ring.sums_of_products
+        matrix = [sums([((ki, psij),) for psij in self.entries]) for ki in self.ket]
         return SuperMorphism(self.ring, self.ftype, self.ftype, matrix)
 
 
 def make_bra(n: int, ring: SuperRing = None) -> BraVector:
+    """The bra ``psi_n``, each entry built from one coefficient monomial.
+
+    Even entry k is ``(1 - eta*etad/8) * sqrt(binom(n, k)) * ad**(n-k) * bd**k``,
+    one element product each; odd entry j is ``etad`` times the monomial
+    ``sqrt(binom(n-1, j))/2 * ad**(n-1-j) * bd**j``, built with no product.
+    With the correction's ``eta*etad`` that is n+2 element products in all.
+    ``DomainError`` if the ring lacks ``ad``, ``bd``, ``eta`` or ``etad``.
+    """
     if n < 1:
         raise DomainError("the projector level must be at least 1")
     ring = ring or make_uosp_ring()
-    ad = ring.even_gen("ad")
-    bd = ring.even_gen("bd")
+    coeff = ring.coeff
+    base, names = coeff.base, coeff.variables
+    for name in ("ad", "bd"):
+        if name not in names:
+            raise DomainError(f"{name!r} is not an even generator of the ring")
+    ad, bd = names.index("ad"), names.index("bd")
     eta, etad = ring.odd_gen("eta"), ring.odd_gen("etad")
     correction = ring.one() - (eta * etad).scale(Fraction(1, 8))
-    entries = []
-    for k in range(n + 1):
-        entries.append(correction * sqrt_binomial(ring, n, k) * ad ** (n - k) * bd ** k)
-    for j in range(n):
-        entries.append(
-            etad.scale(Fraction(1, 2)) * sqrt_binomial(ring, n - 1, j) * ad ** (n - 1 - j) * bd ** j
-        )
+    (etad_bit,) = etad.terms
+    half = base.from_fraction(Fraction(1, 2))
+
+    def monomial(m, k, c):
+        """The coefficient ``c * ad**(m-k) * bd**k``."""
+        exps = [0] * len(names)
+        exps[ad], exps[bd] = m - k, k
+        return coeff.monomial(exps, c)
+
+    entries = [
+        correction * SuperElement(ring, {0: monomial(n, k, base.sqrt_int(math.comb(n, k)))})
+        for k in range(n + 1)
+    ]
+    halves = (base.mul(half, base.sqrt_int(math.comb(n - 1, j))) for j in range(n))
+    entries += [SuperElement(ring, {etad_bit: monomial(n - 1, j, c)}) for j, c in enumerate(halves)]
     return BraVector(n, ring, tuple(entries))
 
 
@@ -103,8 +132,9 @@ def projector_p(n: int, ring: SuperRing = None) -> SuperMorphism:
 
 
 def pi_apply(bra: BraVector, v: ModElement) -> ModElement:
-    """The rank-one projection ``v -> |psi> * <psi|v>``."""
+    """The rank-one projection ``v -> |psi> * <psi|v>``: one pass for the pairing, one for the ket column."""
     if v.ftype != bra.ftype:
         raise DomainError("element type does not match the bra")
-    pairing = bra.ring.sum_of_products(zip(bra.entries, v.coeffs))
-    return ModElement(bra.ring, bra.ftype, [ki * pairing for ki in bra.ket])
+    ring = bra.ring
+    pairing = ring.sum_of_products(zip(bra.entries, v.coeffs))
+    return ModElement(ring, bra.ftype, ring.sums_of_products([((ki, pairing),) for ki in bra.ket]))

@@ -143,12 +143,21 @@ class GaussianRational:
     def im(self):
         return Fraction(self.b, self.d)
 
+    # ``__add__`` and ``__mul__`` reduce inline, as ``_gaussian`` does: they are the hot path.
     def __add__(self, other):
-        if self.d == other.d:
-            return _gaussian(self.a + other.a, self.b + other.b, self.d)
-        return _gaussian(
-            self.a * other.d + other.a * self.d, self.b * other.d + other.b * self.d, self.d * other.d
-        )
+        d = self.d
+        if d == other.d:
+            a, b = self.a + other.a, self.b + other.b
+        else:
+            e = other.d
+            a, b, d = self.a * e + other.a * d, self.b * e + other.b * d, d * e
+        if d != 1:
+            g = math.gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        z = object.__new__(GaussianRational)
+        z.a, z.b, z.d = a, b, d
+        return z
 
     def __sub__(self, other):
         return self + -other
@@ -158,7 +167,18 @@ class GaussianRational:
 
     def __mul__(self, other):
         a, b, c, e = self.a, self.b, other.a, other.b
-        return _gaussian(a * c - b * e, a * e + b * c, self.d * other.d)
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:  # both real: no cross terms
+            a *= c
+        d = self.d * other.d
+        if d != 1:
+            g = math.gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        z = object.__new__(GaussianRational)
+        z.a, z.b, z.d = a, b, d
+        return z
 
     def scale(self, n: int):
         """The product with the integer ``n``."""

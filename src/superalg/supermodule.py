@@ -112,7 +112,8 @@ class SuperMorphism:
         if other.ring != self.ring:
             raise RingMismatchError("morphisms over different rings")
         columns = [[row[k] for row in other.matrix] for k in range(other.source.size)]
-        rows = [[self.ring.sum_of_products(zip(row, column)) for column in columns] for row in self.matrix]
+        # One pass per result row; a pass per matrix would hold every term product of the result at once.
+        rows = [self.ring.sums_of_products([zip(row, column) for column in columns]) for row in self.matrix]
         return other._like(other.source, self.target, rows)
 
     def __add__(self, other):

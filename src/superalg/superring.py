@@ -17,14 +17,17 @@ mask per left term; the involution takes its signs from
 :func:`~superalg.multiindex.merge_bits`.  :meth:`SuperElement.scale`
 multiplies coefficients.
 
-A sum of products, :meth:`SuperRing.sum_of_products`, is how ``*``,
+Sums of products, :meth:`SuperRing.sums_of_products`, are how ``*``,
 morphism composition and the supersphere pairings multiply over a quotient
-coefficient ring: the term products of every pair are added, keyed by (odd
-bitmask, coefficient term), into one dict as they are formed, rewritten by
-the ring's relation once for the whole sum, the rewrites added into the
-terms that needed none
-(:meth:`~superalg.scalars.PolyQuotientRing.sum_of_products`), and regrouped
-by bitmask.  ``x * y`` is the one-pair case.  Over a scalar coefficient
+coefficient ring: the term products of every pair of every group are added,
+keyed by (group and odd bitmask, coefficient term), into one dict as they
+are formed, rewritten by the ring's relation once for the whole pass, the
+rewrites added into the terms that needed none
+(:meth:`~superalg.scalars.PolyQuotientRing.sum_of_products`), and split
+back by group and bitmask.  A group is the tag's bits above the odd
+generators, so one int holds both.  :meth:`SuperRing.sum_of_products` is
+the one-group case and ``x * y`` the one-pair case; a morphism composes one
+pass per row of its result.  Over a scalar coefficient
 ring ``*`` adds each term product into its output as it is formed, and a
 sum of products sums the products.  Either way zero sums are dropped once,
 at the end; :func:`~superalg.scalars.collect` sums only values that already
@@ -202,29 +205,35 @@ class SuperRing:
     def sum_of_products(self, pairs) -> "SuperElement":
         """The sum of ``x * y`` over the ``(x, y)`` pairs; zero for no pairs.
 
-        Over a quotient coefficient ring ``x * y`` is the one-pair case: every
-        term product of every pair is added into one dict, keyed by odd bitmask
-        and coefficient term, as it is formed, and the sum is rewritten by the
-        relation once (:meth:`PolyQuotientRing.sum_of_products`).
-        Over a scalar ring the products are formed by ``*`` and summed.  An
-        operand of another ring raises ``RingMismatchError``; one that is not
-        an element, ``TypeError``.
+        The one-group case of :meth:`sums_of_products`, and over a quotient
+        coefficient ring ``x * y`` is its one-pair case.
+        """
+        return self.sums_of_products((pairs,))[0]
+
+    def sums_of_products(self, groups) -> list:
+        """``[self.sum_of_products(pairs) for pairs in groups]``, over a quotient ring in one pass.
+
+        Over a quotient coefficient ring every term product of every pair of
+        every group is added into one dict as it is formed, keyed by ``(group
+        << odd_count) | odd bitmask`` and coefficient term, the whole dict is
+        rewritten by the relation once
+        (:meth:`PolyQuotientRing.sum_of_products`), and each tag is split back
+        into its group and its bitmask.  Over a scalar ring the products are
+        formed by ``*`` and summed, group by group.  ``groups`` may be any
+        one-pass iterable of iterables of pairs.  An operand of another ring
+        raises ``RingMismatchError``; one that is not an element, ``TypeError``.
         """
         own = self._own
         if not self._quotient:
-            return self.sum(own(x) * own(y) for x, y in pairs)
-
-        def products():
-            # The sign rule of SuperElement.__mul__, per pair of odd monomials.
-            for x, y in pairs:
-                right = own(y).terms.items()
-                for b1, c1 in own(x).terms.items():
-                    mask = mi.sign_mask(b1)
-                    for b2, c2 in right:
-                        if not b1 & b2:
-                            yield b1 | b2, (mask & b2).bit_count() & 1, c1, c2
-
-        return SuperElement(self, self.coeff.sum_of_products(products()))
+            return [self.sum(own(x) * own(y) for x, y in pairs) for pairs in groups]
+        shift, out = self.odd_count, []
+        sums = self.coeff.sum_of_products(_tagged_products(own, groups, shift, out))
+        if len(out) == 1:  # the tags of group 0 are its bitmasks
+            return [SuperElement(self, sums)]
+        full = self._full
+        for tag, value in sums.items():
+            out[tag >> shift][tag & full] = value
+        return [SuperElement(self, terms) for terms in out]
 
     def one(self) -> "SuperElement":
         return self.from_fraction(1)
@@ -314,6 +323,26 @@ _LOOKUP_COST = 3
 # and sorting its terms costs more than the pairs it would save (measured on
 # sparse squares at L=6 and dense ones at L=3..7).
 _SQUARE_MIN_TERMS = 16
+
+
+def _tagged_products(own, groups, shift, out):
+    """``(tag, negate, c1, c2)`` for each term pair of each pair of ``groups``, for ``sum_of_products``.
+
+    The tag is ``(group << shift) | b1 | b2``, and ``negate`` the sign rule of
+    :meth:`SuperElement.__mul__`; each operand passes ``own`` and each group
+    appends one ``{}`` to ``out``.  A module-level generator, not a closure:
+    building the closure cost about 0.3 µs of a 5 µs product.
+    """
+    for pairs in groups:
+        group = len(out) << shift
+        out.append({})
+        for x, y in pairs:
+            right = own(y).terms.items()
+            for b1, c1 in own(x).terms.items():
+                mask = mi.sign_mask(b1)
+                for b2, c2 in right:
+                    if not b1 & b2:
+                        yield group | b1 | b2, (mask & b2).bit_count() & 1, c1, c2
 
 
 def _walk_grade(L, n):

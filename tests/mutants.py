@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SQUARES = "tests/test_grassmann_squares.py"
 CANCELLATION = "tests/test_product_cancellation.py"
 PACKED = "tests/test_packed_keys.py"
+FLAT = "tests/test_flat_products.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -215,6 +216,27 @@ MUTANTS = [
         "normal = self.relation is None or sorted(perm[h] for h in self._heads) == sorted(self._heads)",
         "normal = True",
         [f"{PACKED}::test_substitute_vars_matches_sympy_reduced[uosp-heads-moved]"],
+    ),
+    (
+        "group-split-wrong-bits",
+        "superalg/superring.py",
+        "out[tag >> shift][tag & full] = value",
+        "out[tag >> (shift + 1)][tag & full] = value",
+        [f"{FLAT}::test_sums_of_products_are_the_sums_of_each_group[uosp]"],
+    ),
+    (
+        "bra-exponents-swapped",
+        "superalg/landi.py",
+        "exps[ad], exps[bd] = m - k, k",
+        "exps[ad], exps[bd] = k, m - k",
+        ["tests/test_landi.py::test_bra_entries_are_the_chained_products[2]"],
+    ),
+    (
+        "gaussian-real-path-for-imaginary-right",
+        "superalg/scalars.py",
+        "if b or e:",
+        "if b:",
+        ["tests/test_scalar_layer.py::test_products_and_sums_with_an_imaginary_part_match_fraction_pairs"],
     ),
     (
         "uosp-odd-sign-flipped",

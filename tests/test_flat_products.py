@@ -2,7 +2,9 @@
 
 ``SuperRing.sum_of_products`` forms every term product of every pair in one
 loop and, over a quotient coefficient ring, collects, rewrites and collects
-the whole sum once; ``x * y`` is its one-pair case there.  The reference
+the whole sum once; ``x * y`` is its one-pair case there, and
+``SuperRing.sums_of_products`` forms the sums of several groups of pairs in
+one such pass.  The reference
 below multiplies one pair of terms at a time: ``coeff.mul(c1, c2)`` at
 ``b1 | b2``, negated when moving the odd generators of ``b2`` past those of
 ``b1`` takes an odd number of transpositions; each ``coeff.mul`` is checked
@@ -33,6 +35,8 @@ QUOTIENT_RINGS = {
     "sphere-mod6": sphere_ring(2, IntegerModRing(6), ODD),
 }
 RINGS = {**QUOTIENT_RINGS, "grassmann-3": grassmann_ring(3), "z6": z6_ring()}
+# A quotient ring with no odd generators: its group tags are the group numbers, shifted by 0.
+GROUP_RINGS = {**RINGS, "sphere-even": sphere_ring(2)}
 
 # A term is (odd bitmask, numerator, denominator, exponents, radicand, times i).
 # Denominators are units mod 6, and small numerators make cancellation likely.
@@ -163,3 +167,48 @@ def test_operands_of_another_ring_or_kind_are_refused(label):
     with pytest.raises(TypeError):
         x * "x"
     assert ring.sum_of_products([]) == ring.zero()
+
+
+groups = st.lists(st.lists(st.tuples(terms, terms), max_size=3), max_size=4)
+# Three groups, the middle one empty and the last one cancelling to zero.
+THREE_GROUPS = [[([ONE, FIRST], [SECOND])], [], [([ONE], [FIRST]), ([(0, -1, 1, [0] * 4, 1, False)], [FIRST])]]
+
+
+@pytest.mark.parametrize("label", GROUP_RINGS)
+@settings(max_examples=30, deadline=None)
+@given(recipes=groups)
+@example(recipes=THREE_GROUPS)
+@example(recipes=[[([ONE], [ONE])], [([FIRST], [FIRST])], [([SECOND], [ONE, SECOND])]])
+def test_sums_of_products_are_the_sums_of_each_group(label, recipes):
+    ring = GROUP_RINGS[label]
+    built = [[(build(ring, a), build(ring, b)) for a, b in group] for group in recipes]
+    sums = ring.sums_of_products(built)
+    assert sums == [ring.sum_of_products(pairs) for pairs in built]
+    assert sums == [ring.sum(x * y for x, y in pairs) for pairs in built]
+    # A one-pass iterator of one-pass iterators will do.
+    assert ring.sums_of_products(iter(pairs) for pairs in built) == sums
+    for total in sums:
+        assert_stored_form(total)
+
+
+@pytest.mark.parametrize("label", GROUP_RINGS)
+def test_sums_of_products_keep_empty_and_cancelling_groups(label):
+    ring = GROUP_RINGS[label]
+    x, y = build(ring, [ONE, FIRST]), build(ring, [SECOND, ONE])
+    assert ring.sums_of_products([]) == []
+    assert ring.sums_of_products([[]]) == [ring.zero()]
+    sums = ring.sums_of_products([[(x, y)], [], [(x, y), (-x, y)], [(y, x)]])
+    assert sums == [x * y, ring.zero(), ring.zero(), y * x]
+    assert sums[1].terms == {} and sums[2].terms == {}
+
+
+@pytest.mark.parametrize("label", GROUP_RINGS)
+def test_sums_of_products_refuse_a_foreign_operand_in_the_last_group(label):
+    ring = GROUP_RINGS[label]
+    x = build(ring, [ONE, FIRST])
+    other = grassmann_ring(5).one()
+    for last in ([(x, other)], [(other, x)]):
+        with pytest.raises(RingMismatchError):
+            ring.sums_of_products([[(x, x)], [], last])
+    with pytest.raises(TypeError):
+        ring.sums_of_products([[(x, x)], [(x, 3)]])

@@ -13,6 +13,7 @@ from superalg.landi import (
     projector_p,
     sqrt_binomial,
 )
+from superalg.spheres import sphere_ring
 from superalg.suites import random_element
 from superalg.supermodule import FreeType, ModElement
 
@@ -67,6 +68,32 @@ def test_bra_n2_carries_formal_radical():
     correction = RING.one() - (eta * etad).scale(Fraction(1, 8))
     assert bra.entries[1] == correction * root2 * ad * bd
     assert root2 * root2 == RING.from_fraction(2)
+
+
+def chained_bra(n):
+    """The bra as chains of element products and powers, one factor at a time."""
+    ad, bd = RING.even_gen("ad"), RING.even_gen("bd")
+    eta, etad = RING.odd_gen("eta"), RING.odd_gen("etad")
+    correction = RING.one() - (eta * etad).scale(Fraction(1, 8))
+    even = [correction * sqrt_binomial(RING, n, k) * ad ** (n - k) * bd**k for k in range(n + 1)]
+    odd = [
+        etad.scale(Fraction(1, 2)) * sqrt_binomial(RING, n - 1, j) * ad ** (n - 1 - j) * bd**j
+        for j in range(n)
+    ]
+    return even + odd
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bra_entries_are_the_chained_products(n):
+    entries = make_bra(n, RING).entries
+    chained = chained_bra(n)
+    assert list(entries) == chained
+    assert [e.to_json() for e in entries] == [e.to_json() for e in chained]
+
+
+def test_bra_over_a_ring_without_its_generators_is_refused():
+    with pytest.raises(DomainError):
+        make_bra(2, sphere_ring(2))
 
 
 def test_level_bound():

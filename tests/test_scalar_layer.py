@@ -1,8 +1,8 @@
 """The integer-triple Gaussian type against a Fraction-pair oracle, radical
 JSON normal form, ring identities that are built once, the
 ``(exponents, radicand)`` term keys of a quotient over radical scalars, and
-pinned counts of product passes and radicand products in the supersphere
-projector and of sparse sums on the ``certify`` path of the cli."""
+pinned counts of product passes, element products and radicand products in
+the supersphere bra and projector and of sparse sums on the ``certify`` path of the cli."""
 
 import json
 import math
@@ -11,11 +11,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from superalg.cli import main
 from superalg.errors import DomainError
-from superalg.landi import make_uosp_ring, projector_p
+from superalg.landi import make_bra, make_uosp_ring, projector_p
 import superalg.scalars as scalars
 from superalg.scalars import (
     GaussianRational,
@@ -25,6 +25,7 @@ from superalg.scalars import (
     RationalRing,
 )
 from superalg.spheres import make_sphere_projector
+from superalg.superring import SuperElement
 
 
 class PairGaussian:
@@ -107,6 +108,19 @@ def test_arithmetic_matches_fraction_pairs(x, y):
     else:
         with pytest.raises(ZeroDivisionError):
             u.inverse()
+
+
+nonzero_parts = parts.filter(bool)
+
+
+@given(parts, pairs, nonzero_parts)
+@example(x=1, y=(2, 0), im=Fraction(1, 3))
+def test_products_and_sums_with_an_imaginary_part_match_fraction_pairs(x, y, im):
+    """A real operand meets one with a nonzero imaginary part, on either side: the cross terms count."""
+    for u, ru in ((GaussianRational(x, 0), PairGaussian(x, 0)), (GaussianRational(*y), PairGaussian(*y))):
+        v, rv = GaussianRational(y[0], im), PairGaussian(y[0], im)
+        assert agrees(u * v, ru * rv) and agrees(v * u, rv * ru)
+        assert agrees(u + v, ru + rv) and agrees(v + u, rv + ru)
 
 
 @given(pairs, pairs)
@@ -332,15 +346,35 @@ def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
     assert p.compose(p) == p
     # A radical value nested in each polynomial term made 1,281 sums here, one more per
     # term product; the flat (exponents, radicand) key made 410, a sum per element product
-    # and per coefficient product.  One sum of products per entry of the 5x5 result makes
-    # one pass that adds its term products into a dict and, where a term holds the lead
-    # product, one that adds the rewrites into the kept terms: at most 2 per entry (46
-    # here), and no collect call.
-    assert 0 < calls["products"] <= 2 * 5 * 5
+    # and per coefficient product.  One sum of products per entry of the 5x5 result made
+    # 46 passes.  One sum of products per row of the result makes one pass that adds its
+    # term products into a dict and, where a term holds the lead product, one that adds
+    # the rewrites into the kept terms: at most 2 per row, and no collect call.
+    assert 0 < calls["products"] <= 2 * 5
     assert calls["collect"] == 0
     # Rewriting each term product before collecting made 550 Gaussian products here;
     # collecting first rewrites each distinct term once.
     assert 0 < calls["gaussian"] <= 480
+
+
+def test_bra_and_projector_make_a_pinned_number_of_element_products(monkeypatch):
+    """Each bra entry is one coefficient monomial, and the projector forms its rows in sums of products."""
+    calls = Counter()
+    element_product = SuperElement.__mul__
+
+    def counting(x, y):
+        calls["mul"] += 1
+        return element_product(x, y)
+
+    monkeypatch.setattr(SuperElement, "__mul__", counting)
+    make_bra(2)
+    # eta*etad for the correction, then the correction times each of the 3 even entries;
+    # chains of products and powers made 18.
+    assert calls["mul"] == 4
+    calls.clear()
+    projector_p(2)
+    # The bra's 4 and none for the 5x5 entries, where a product per entry made 43 in all.
+    assert calls["mul"] == 4
 
 
 def test_projector_squares_make_a_pinned_number_of_radicand_products(monkeypatch):
