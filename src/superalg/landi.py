@@ -9,7 +9,8 @@ exactly, so ``p[i][j] = psi_i** * psi_j`` is a self-adjoint idempotent and
 ``v -> |psi> <psi|v>`` is the corresponding rank-one projection.
 
 Each bra entry is built from one coefficient monomial (:func:`make_bra`),
-the projector forms each row of ``p`` in one sum-of-products pass, and
+and its ket ``|psi>`` is involuted once per bra (:attr:`BraVector.ket`).
+The projector forms each row of ``p`` in one sum-of-products pass, and
 ``inner`` and ``pi_apply`` form ``<psi|psi>``, ``<psi|v>`` and the column
 ``|psi> <psi|v>`` in one pass each (:meth:`SuperRing.sums_of_products`).
 """
@@ -39,12 +40,6 @@ def make_uosp_ring() -> SuperRing:
         odd_pairs=[("eta", "etad")],
     )
     return SuperRing(coeff, ("eta", "etad"), involution)
-
-
-def sqrt_binomial(ring: SuperRing, n: int, k: int) -> SuperElement:
-    """The radical ``sqrt(binom(n, k))`` as an even ring element."""
-    coeff = ring.coeff
-    return ring.from_coeff(coeff.from_scalar(coeff.base.sqrt_int(math.comb(n, k))))
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,8 @@ def make_bra(n: int, ring: SuperRing = None) -> BraVector:
 
 
 def inner(bra: BraVector) -> SuperElement:
-    """``<psi|psi> = sum_i psi_i * psi_i**``; equals 1 for every bra level."""
-    return bra.ring.sum_of_products((psi, psi.involute()) for psi in bra.entries)
+    """``<psi|psi> = sum_i psi_i * psi_i**``, from :attr:`BraVector.ket`; equals 1 for every bra level."""
+    return bra.ring.sum_of_products(zip(bra.entries, bra.ket))
 
 
 def ket_entries(bra: BraVector) -> tuple:

@@ -43,10 +43,10 @@ A sparse product adds each term product into its output dict as it is
 formed and drops zero sums once, at the end: ``SuperElement.__mul__`` over a
 scalar ring, and ``PolyQuotientRing._products`` for the term products of a
 sum of products and again for the relation's rewrites.  :func:`collect`
-sums values that already exist -- ``+`` on every kind of value, a quotient
-value's normal form, and the cold radical and jet products -- and drops
-zero sums the same way.  The values either receives must already be in
-their ring's normal form; they are only added.
+runs only where two terms can meet -- ``+`` and ``SuperRing.sum``, JSON
+input, a quotient value's normal form, the cold radical and jet products --
+and drops zero sums the same way.  Every value either receives must already
+be in its ring's normal form; values are only added.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ from .superring import SuperElement, SuperRing
 
 def _koszul(c: SuperElement, k: int) -> SuperElement:
     """``c`` moved past a factor of parity ``k``: each part of ``c`` gains ``(-1)**(|c|k)``."""
-    return c.homogeneous_part(0) - c.homogeneous_part(1) if k % 2 else c
+    if not k % 2:
+        return c
+    return SuperElement(c.ring, {b: c.ring.coeff.neg(v) if b.bit_count() & 1 else v for b, v in c.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -155,11 +157,11 @@ class SuperMorphism:
         return all(entry.is_zero() for row in self.matrix for entry in row)
 
     def degree(self):
-        """0 or 1 if homogeneous per the matrix parity contract, else None."""
-        for degree in (0, 1):
-            if self.homogeneous_part(degree) == self:
-                return degree
-        return None
+        """The one parity of ``|term| + |b_i| + |b_j|`` over the terms of entries ``[i][j]``: 0 if none, None if two."""
+        src, tgt = self.source.parities, self.target.parities
+        rows = enumerate(self.matrix)
+        found = {(b.bit_count() + tgt[i] + src[j]) & 1 for i, row in rows for j, e in enumerate(row) for b in e.terms}
+        return found.pop() if len(found) == 1 else (None if found else 0)
 
     def grade_split(self):
         """The even and the odd part."""

@@ -9,13 +9,16 @@ odd-generator bitmasks to coefficient values.
 Even polynomial generators (when the coefficient ring is a quotient ring)
 always have grade 0; the parity of a term is the parity of its odd monomial.
 
-Each element-layer rule is written once.  Sums go through
-:func:`~superalg.scalars.collect`: :meth:`SuperRing.sum` for any number of
-elements, and ``+`` as its two-element case.  The sign of a product of odd
-monomials is the parity mask of :func:`~superalg.multiindex.sign_mask`, one
-mask per left term; the involution takes its signs from
-:func:`~superalg.multiindex.merge_bits`.  :meth:`SuperElement.scale`
-multiplies coefficients.
+Each element-layer rule is written once, as one pass over the terms.
+:func:`~superalg.scalars.collect` runs only where two terms can meet:
+:meth:`SuperRing.sum` for any number of elements, ``+`` as its two-element
+case, and JSON input.  A map that merges no two terms writes each image into
+its result: :meth:`SuperRing.element` and :meth:`SuperElement.scale` drop
+zeros (Z/n has zero divisors), and :meth:`SuperElement.involute` maps odd
+monomials one-to-one by a coefficient automorphism, so it drops none.  The
+sign of a product of odd monomials is the parity mask of
+:func:`~superalg.multiindex.sign_mask`, one mask per left term; the
+involution takes its signs from :func:`~superalg.multiindex.merge_bits`.
 
 Sums of products, :meth:`SuperRing.sums_of_products`, are how ``*``,
 morphism composition and the supersphere pairings multiply over a quotient
@@ -180,7 +183,7 @@ class SuperRing:
 
     def element(self, terms) -> "SuperElement":
         """The element of ``{bitmask: value}`` ``terms``, zero values dropped: the checked path (see SuperElement)."""
-        return SuperElement(self, collect(self.coeff, terms.items()))
+        return SuperElement(self, {b: c for b, c in terms.items() if c})
 
     def zero(self) -> "SuperElement":
         return SuperElement(self, {})
@@ -480,9 +483,8 @@ class SuperElement:
     def scale(self, fr: Fraction):
         """``fr * self``: each coefficient times ``fr``; zero products are dropped."""
         coeff = self.ring.coeff
-        c = coeff.from_fraction(Fraction(fr))
-        products = ((b, coeff.mul(v, c)) for b, v in self.terms.items())
-        return SuperElement(self.ring, collect(coeff, products))
+        c, mul = coeff.from_fraction(Fraction(fr)), coeff.mul
+        return SuperElement(self.ring, {b: p for b, v in self.terms.items() if (p := mul(v, c))})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -559,22 +561,20 @@ class SuperElement:
         gen_images = self.ring._odd_images
         if gen_images is None:
             raise DomainError("ring has no involution table")
-        coeff = self.ring.coeff
-
-        def images():
-            # The product rule gives (x1...xk)** = (-1)**(k(k-1)/2) xk**...x1**,
-            # and reversing the k odd images costs the same sign, so
-            # (x1...xk)** = x1**...xk**: multiply the images in index order.
-            for bits, c in self.terms.items():
-                image, sign = 0, 1
-                for i in mi.indices_from_bits(bits):
-                    gen_bit, gen_sign = gen_images[i - 1]
-                    image, merge_sign = mi.merge_bits(image, gen_bit)
-                    sign *= gen_sign * merge_sign
-                c = self.ring.coeff_involute(c)
-                yield image, (c if sign > 0 else coeff.neg(c))
-
-        return SuperElement(self.ring, collect(coeff, images()))
+        ring, terms, neg = self.ring, {}, self.ring.coeff.neg
+        # The product rule gives (x1...xk)** = (-1)**(k(k-1)/2) xk**...x1**,
+        # and reversing the k odd images costs the same sign, so
+        # (x1...xk)** = x1**...xk**: multiply the images in index order.
+        # Each image is written once and is never zero (see the module docstring).
+        for bits, c in self.terms.items():
+            image, sign = 0, 1
+            for i in mi.indices_from_bits(bits):
+                gen_bit, gen_sign = gen_images[i - 1]
+                image, merge_sign = mi.merge_bits(image, gen_bit)
+                sign *= gen_sign * merge_sign
+            c = ring.coeff_involute(c)
+            terms[image] = c if sign > 0 else neg(c)
+        return SuperElement(ring, terms)
 
     # -- printing and serialization ----------------------------------------------
 

@@ -33,6 +33,7 @@ SQUARES = "tests/test_grassmann_squares.py"
 CANCELLATION = "tests/test_product_cancellation.py"
 PACKED = "tests/test_packed_keys.py"
 FLAT = "tests/test_flat_products.py"
+ONE_PASS = "tests/test_one_pass_maps.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -244,6 +245,27 @@ MUTANTS = [
         "images[self._odd_pos[v]] = (1 << self._odd_pos[u], -1)",
         "images[self._odd_pos[v]] = (1 << self._odd_pos[u], 1)",
         ["tests/test_value_contract.py::test_uosp_involution_reverses_products_and_squares_to_the_parity_sign"],
+    ),
+    (
+        "involution-sign-dropped",
+        "superalg/superring.py",
+        "terms[image] = c if sign > 0 else neg(c)",
+        "terms[image] = c",
+        ["tests/test_element_rules.py::test_involution_of_a_long_monomial"],
+    ),
+    (
+        "degree-ignores-target-parities",
+        "superalg/supermodule.py",
+        "(b.bit_count() + tgt[i] + src[j]) & 1",
+        "(b.bit_count() + src[j]) & 1",
+        [f"{ONE_PASS}::test_degree_reads_the_target_parities"],
+    ),
+    (
+        "scale-zeros-kept",
+        "superalg/superring.py",
+        "{b: p for b, v in self.terms.items() if (p := mul(v, c))}",
+        "{b: mul(v, c) for b, v in self.terms.items()}",
+        ["tests/test_element_rules.py::test_scale_drops_zero_products_over_z6"],
     ),
 ]
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from superalg.landi import (
     make_uosp_ring,
     pi_apply,
     projector_p,
-    sqrt_binomial,
 )
 from superalg.spheres import sphere_ring
 from superalg.suites import random_element
@@ -19,6 +19,12 @@ from superalg.supermodule import FreeType, ModElement
 
 
 RING = make_uosp_ring()
+
+
+def sqrt_binomial(n, k):
+    """The radical ``sqrt(binom(n, k))`` as an even element of ``RING``."""
+    coeff = RING.coeff
+    return RING.from_coeff(coeff.from_scalar(coeff.base.sqrt_int(math.comb(n, k))))
 
 
 def test_ring_relations():
@@ -62,7 +68,7 @@ def test_bra_n1_displayed_entries():
 
 def test_bra_n2_carries_formal_radical():
     bra = make_bra(2, RING)
-    root2 = sqrt_binomial(RING, 2, 1)
+    root2 = sqrt_binomial(2, 1)
     ad, bd = RING.even_gen("ad"), RING.even_gen("bd")
     eta, etad = RING.odd_gen("eta"), RING.odd_gen("etad")
     correction = RING.one() - (eta * etad).scale(Fraction(1, 8))
@@ -75,9 +81,9 @@ def chained_bra(n):
     ad, bd = RING.even_gen("ad"), RING.even_gen("bd")
     eta, etad = RING.odd_gen("eta"), RING.odd_gen("etad")
     correction = RING.one() - (eta * etad).scale(Fraction(1, 8))
-    even = [correction * sqrt_binomial(RING, n, k) * ad ** (n - k) * bd**k for k in range(n + 1)]
+    even = [correction * sqrt_binomial(n, k) * ad ** (n - k) * bd**k for k in range(n + 1)]
     odd = [
-        etad.scale(Fraction(1, 2)) * sqrt_binomial(RING, n - 1, j) * ad ** (n - 1 - j) * bd**j
+        etad.scale(Fraction(1, 2)) * sqrt_binomial(n - 1, j) * ad ** (n - 1 - j) * bd**j
         for j in range(n)
     ]
     return even + odd
