@@ -23,18 +23,22 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError
-from .scalars import PolyQuotientRing, RadicalGaussianRing, Relation
+from .scalars import PolyQuotientRing, RadicalGaussianRing, Relation, canonical, interned
 from .supermodule import FreeType, ModElement, SuperMorphism
 from .superring import Involution, SuperElement, SuperRing
 
 
 def make_uosp_ring() -> SuperRing:
-    """The supersphere coordinate ring with its graded involution."""
+    """The supersphere coordinate ring with its graded involution, one object per process."""
+    return interned((make_uosp_ring,), _uosp_ring)
+
+
+def _uosp_ring() -> SuperRing:
     base = RadicalGaussianRing()
     variables = ("a", "ad", "b", "bd")
     plain = PolyQuotientRing(base, variables)
     rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
-    coeff = PolyQuotientRing(base, variables, Relation(("a", "ad"), rhs))
+    coeff = canonical(PolyQuotientRing(base, variables, Relation(("a", "ad"), rhs)))
     involution = Involution(
         even_pairs=[("a", "ad"), ("b", "bd")],
         odd_pairs=[("eta", "etad")],

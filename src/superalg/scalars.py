@@ -47,6 +47,17 @@ runs only where two terms can meet -- ``+`` and ``SuperRing.sum``, JSON
 input, a quotient value's normal form, the cold radical and jet products --
 and drops zero sums the same way.  Every value either receives must already
 be in its ring's normal form; values are only added.
+
+Rings are interned per descriptor (:func:`interned`):
+:func:`coeff_ring_from_json`, ``SuperRing.from_json`` and the ring factories
+(``sphere_ring``, ``make_uosp_ring``, ``grassmann_ring`` and the rest) build
+and check a descriptor's ring once per process and return that object to
+every later call, from one table of at most :data:`INTERN_LIMIT` entries.  A
+shared ring must not be mutated beyond its pure caches -- ``_identity_text``
+and a quotient ring's ``_rhs_powers`` and ``_rename_plans``, which hold the
+same values whoever fills them.  A descriptor that raises stores nothing,
+and a direct ``PolyQuotientRing(...)`` or ``SuperRing(...)`` call builds a
+new ring that no one shares.
 """
 
 from __future__ import annotations
@@ -277,6 +288,7 @@ class CoeffRing:
     kind = None
     variables = ()
     relation = None
+    _identity_text = None  # set by the first ``_identity()`` call; an ``__init__`` sets it first (see there)
 
     @property
     def base(self):
@@ -289,7 +301,7 @@ class CoeffRing:
         return self.from_int(1)
 
     def from_int(self, n):
-        return self.from_fraction(Fraction(n))
+        return self.from_fraction(n)
 
     def from_fraction(self, fr):
         raise NotImplementedError
@@ -373,7 +385,7 @@ class CoeffRing:
 
     def _identity(self):
         """``repr(self.to_json())``, built on first use: rings do not change."""
-        identity = self.__dict__.get("_identity_text")
+        identity = self._identity_text
         if identity is None:
             identity = self._identity_text = repr(self.to_json())
         return identity
@@ -429,7 +441,10 @@ class RationalRing(CoeffRing):
         return 0
 
     def from_fraction(self, fr):
-        return _rational(Fraction(fr))
+        kind = type(fr)
+        if kind is int:  # the stored forms pass through: Fraction(fr) would copy them
+            return fr
+        return _rational(fr if kind is Fraction else Fraction(fr))
 
     def add(self, u, v):
         w = u + v
@@ -507,6 +522,7 @@ class IntegerModRing(CoeffRing):
     kind = "integer_mod"
 
     def __init__(self, n: int):
+        self._identity_text = None  # first, as in PolyQuotientRing
         if n < 2:
             raise DomainError("modulus must be at least 2")
         self.n = n
@@ -685,6 +701,10 @@ class PolyQuotientRing(CoeffRing):
     base = None  # set per instance; shadows the scalar-ring ``CoeffRing.base``
 
     def __init__(self, base: CoeffRing, variables, relation: Relation = None):
+        # First: added after construction, as ``_identity`` would add it, the
+        # slot cost the ring its shared attribute layout (Python 3.11), and
+        # ``sum_of_products`` ran about 10% slower.
+        self._identity_text = None
         self.base = base
         self._scalars = base.term_scalars
         self.variables = tuple(variables)
@@ -1021,7 +1041,91 @@ def json_count(data, what: str) -> int:
     return data
 
 
+INTERN_LIMIT = 256  # entries of the ring table; a perfbench cli cycle stores 50
+_JSON_KEY_NODES = 1 << 16  # a descriptor with more values, or a cyclic one, is built uncached
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_MISSING = object()
+_rings = {}  # intern key or descriptor -> ring, oldest first
+
+
+def _remember(key, ring):
+    """Store ``ring`` under ``key``, dropping the oldest entry when the table holds :data:`INTERN_LIMIT`."""
+    if len(_rings) >= INTERN_LIMIT:
+        del _rings[next(iter(_rings))]
+    _rings[key] = ring
+    return ring
+
+
+def canonical(ring):
+    """The first ring stored with ``ring``'s descriptor (``ring._identity()``): ``ring`` itself if none was.
+
+    A ring whose descriptor cannot be written (an integer past
+    :func:`_digit_limit`) is its own canonical ring and is not stored.
+    """
+    try:
+        descriptor = ring._identity()
+    except (DomainError, ValueError):
+        return ring
+    return _rings.get(descriptor) or _remember(descriptor, ring)
+
+
+def interned(key, build):
+    """The ring stored under ``key``; on a miss ``build()``, made :func:`canonical` and stored under ``key``.
+
+    So every key whose ring has one descriptor gives one object.  A ``build``
+    that raises stores nothing, and the next call raises again.  A key of
+    ``None``, or one that does not hash, is built on every call.
+    """
+    if key is None:
+        return build()
+    try:
+        ring = _rings.get(key, _MISSING)
+    except (TypeError, ValueError, DomainError):  # an argument that does not hash, or a ring with no descriptor
+        return build()
+    if ring is _MISSING:
+        ring = _remember(key, canonical(build()))
+    return ring
+
+
+def factory_key(factory, *args):
+    """The intern key of ``factory(*args)``: the arguments and their types, so ``1.0`` never finds the ring of ``1``."""
+    return (factory, *args, *map(type, args))
+
+
+def json_key(owner, data):
+    """``(owner, repr(data))`` if ``data`` is JSON, the intern key of a descriptor ``owner`` reads; else ``None``.
+
+    JSON means dicts with string keys, lists, strings, numbers, booleans and
+    ``None``, each of exactly that type: a tuple or another object may print
+    like JSON and read differently.  Data of more than :data:`_JSON_KEY_NODES`
+    values, so cyclic data too, and an integer past :func:`_digit_limit` have no key.
+    """
+    todo, budget = [data], _JSON_KEY_NODES
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is dict and all(type(name) is str for name in item):
+            item = item.values()
+        elif kind is not list:
+            if kind in _JSON_SCALARS:
+                continue
+            return None
+        budget -= len(item)
+        if budget < 0:
+            return None
+        todo.extend(item)
+    try:
+        return owner, repr(data)
+    except ValueError:  # an integer past the digit limit
+        return None
+
+
 def coeff_ring_from_json(data) -> CoeffRing:
+    """The coefficient ring of the descriptor ``data``, one object per descriptor (see :func:`interned`)."""
+    return interned(json_key(coeff_ring_from_json, data), lambda: _coeff_ring_from_json(data))
+
+
+def _coeff_ring_from_json(data) -> CoeffRing:
     kind = json_mapping(data, "a coefficient ring descriptor").get("kind")
     if kind == "rational":
         return RationalRing()

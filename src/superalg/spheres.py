@@ -13,14 +13,17 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .reports import SuiteReport
-from .scalars import CoeffRing, IntegerModRing, PolyQuotientRing, RationalRing, Relation
+from .scalars import CoeffRing, IntegerModRing, PolyQuotientRing, RationalRing, Relation, factory_key, interned
 from .supermodule import FreeType, ModElement, SuperMorphism, split_idempotent
 from .superring import SuperRing
 
 
 def sphere_coeff_ring(n: int, base: CoeffRing = None) -> PolyQuotientRing:
-    """``base[x0..xn]`` with the relation ``x0^2 = 1 - x1^2 - ... - xn^2``."""
-    base = base or RationalRing()
+    """``base[x0..xn]`` with the relation ``x0^2 = 1 - x1^2 - ... - xn^2``, one object per ``(n, base)``."""
+    return interned(factory_key(sphere_coeff_ring, n, base), lambda: _sphere_coeff_ring(n, base or RationalRing()))
+
+
+def _sphere_coeff_ring(n: int, base: CoeffRing) -> PolyQuotientRing:
     variables = tuple(f"x{i}" for i in range(n + 1))
     plain = PolyQuotientRing(base, variables)
     rhs = plain.one()
@@ -30,7 +33,9 @@ def sphere_coeff_ring(n: int, base: CoeffRing = None) -> PolyQuotientRing:
 
 
 def sphere_ring(n: int, base: CoeffRing = None, odd_names=()) -> SuperRing:
-    return SuperRing(sphere_coeff_ring(n, base), tuple(odd_names))
+    """:func:`sphere_coeff_ring` with the odd generators ``odd_names``, one object per ``(n, base, odd_names)``."""
+    odd_names = tuple(odd_names)
+    return interned(factory_key(sphere_ring, n, base, odd_names), lambda: SuperRing(sphere_coeff_ring(n, base), odd_names))
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,8 @@ def stably_free_certificate(bundle: SphereProjectorBundle) -> SuiteReport:
 
 
 def z6_ring() -> SuperRing:
-    """``Z6[xi1, xi2]`` with two odd generators."""
-    return SuperRing(IntegerModRing(6), ("xi1", "xi2"))
+    """``Z6[xi1, xi2]`` with two odd generators, one object per process."""
+    return interned((z6_ring,), lambda: SuperRing(IntegerModRing(6), ("xi1", "xi2")))
 
 
 def _all_z6_elements(ring: SuperRing):

@@ -22,7 +22,7 @@ from itertools import chain
 
 from . import multiindex as mi
 from .errors import DomainError, ParityError
-from .scalars import PolyQuotientRing, RationalRing, Relation, collect
+from .scalars import PolyQuotientRing, RationalRing, Relation, collect, factory_key, interned
 from .superring import SuperElement, SuperRing
 
 
@@ -219,7 +219,11 @@ def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
 
 
 def trig_coeff_ring() -> PolyQuotientRing:
-    """``Q[S, C]`` with ``S^2 = 1 - C^2``."""
+    """``Q[S, C]`` with ``S^2 = 1 - C^2``, one object per process."""
+    return interned((trig_coeff_ring,), _trig_coeff_ring)
+
+
+def _trig_coeff_ring() -> PolyQuotientRing:
     base = RationalRing()
     plain = PolyQuotientRing(base, ("S", "C"))
     rhs = plain.sub(plain.one(), plain.mul(plain.var("C"), plain.var("C")))
@@ -227,7 +231,10 @@ def trig_coeff_ring() -> PolyQuotientRing:
 
 
 def trig_super_ring(L: int) -> SuperRing:
-    return SuperRing(trig_coeff_ring(), tuple(f"b{i}" for i in range(1, L + 1)))
+    """:func:`trig_coeff_ring` with ``L`` odd generators ``b1..bL``, one object per ``L``."""
+    return interned(
+        factory_key(trig_super_ring, L), lambda: SuperRing(trig_coeff_ring(), tuple(f"b{i}" for i in range(1, L + 1)))
+    )
 
 
 @lru_cache(maxsize=32)  # rings hash by their descriptor, so equal rings share an entry

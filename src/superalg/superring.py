@@ -58,6 +58,11 @@ the term products as ints, and divides each output term once by the product
 of the two lcms (``CoeffRing.divided``), back to the stored form.  A smaller
 product, and a product over any other scalar ring, is computed in the
 coefficient ring itself, through the same loop.
+
+:meth:`SuperRing.from_json` and :func:`grassmann_ring` return the one ring
+of their descriptor (:func:`~superalg.scalars.interned`), which every caller
+shares, so a ring must not be mutated after construction; its coefficient
+ring fills only pure caches.  ``SuperRing(...)`` builds a new, unshared ring.
 """
 
 from __future__ import annotations
@@ -71,9 +76,13 @@ from .errors import CapacityError, DomainError, RingMismatchError
 from .scalars import (
     CoeffRing,
     PolyQuotientRing,
+    RationalRing,
     coeff_ring_from_json,
     collect,
+    factory_key,
+    interned,
     json_count,
+    json_key,
     json_mapping,
     json_names,
 )
@@ -208,10 +217,14 @@ class SuperRing:
     def sum_of_products(self, pairs) -> "SuperElement":
         """The sum of ``x * y`` over the ``(x, y)`` pairs; zero for no pairs.
 
-        The one-group case of :meth:`sums_of_products`, and over a quotient
-        coefficient ring ``x * y`` is its one-pair case.
+        The one-group case of :meth:`sums_of_products`, with no result list
+        to build and index, and over a quotient coefficient ring ``x * y`` is
+        its one-pair case.
         """
-        return self.sums_of_products((pairs,))[0]
+        own = self._own
+        if not self._quotient:
+            return self.sum(own(x) * own(y) for x, y in pairs)
+        return SuperElement(self, self.coeff.sum_of_products(_tagged_products(own, (pairs,), 0, [])))
 
     def sums_of_products(self, groups) -> list:
         """``[self.sum_of_products(pairs) for pairs in groups]``, over a quotient ring in one pass.
@@ -242,7 +255,7 @@ class SuperRing:
         return self.from_fraction(1)
 
     def from_fraction(self, fr) -> "SuperElement":
-        return self.element({0: self.coeff.from_fraction(Fraction(fr))})
+        return self.element({0: self.coeff.from_fraction(fr)})
 
     def from_coeff(self, value) -> "SuperElement":
         return self.element({0: value})
@@ -294,6 +307,11 @@ class SuperRing:
 
     @classmethod
     def from_json(cls, data):
+        """The ring of the descriptor ``data``, one object per descriptor (see :func:`~superalg.scalars.interned`)."""
+        return interned(json_key(cls, data), lambda: cls._from_json(data))
+
+    @classmethod
+    def _from_json(cls, data):
         data = json_mapping(data, "a ring descriptor")
         coeff = coeff_ring_from_json(data.get("coeffs"))
         inv = data.get("involution")
@@ -302,6 +320,10 @@ class SuperRing:
             json_names(data.get("odd_generators", []), "'odd_generators'"),
             Involution.from_json(json_mapping(inv, "'involution'")) if inv else None,
         )
+
+    def _identity(self):
+        """The descriptor as a key: the coefficient ring's identity, the odd generators and the involution."""
+        return self.coeff._identity(), self.odd_names, self.involution
 
     def __eq__(self, other):
         return self is other or (
@@ -376,10 +398,11 @@ def _submask_terms(free, terms, lo):
 
 
 def grassmann_ring(L: int, coeff: CoeffRing = None) -> SuperRing:
-    """The Grassmann algebra on ``L`` odd generators over ``coeff``."""
-    from .scalars import RationalRing
-
-    return SuperRing(coeff or RationalRing(), tuple(f"b{i}" for i in range(1, L + 1)))
+    """The Grassmann algebra on ``L`` odd generators over ``coeff``, one object per ``(L, coeff)``."""
+    return interned(
+        factory_key(grassmann_ring, L, coeff),
+        lambda: SuperRing(coeff or RationalRing(), tuple(f"b{i}" for i in range(1, L + 1))),
+    )
 
 
 class SuperElement:
@@ -412,7 +435,7 @@ class SuperElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         if self.ring._quotient:
             return self.ring.sum_of_products(((self, other),))
         self.ring._own(other)
@@ -477,13 +500,13 @@ class SuperElement:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         return NotImplemented
 
     def scale(self, fr: Fraction):
         """``fr * self``: each coefficient times ``fr``; zero products are dropped."""
         coeff = self.ring.coeff
-        c, mul = coeff.from_fraction(Fraction(fr)), coeff.mul
+        c, mul = coeff.from_fraction(fr), coeff.mul
         return SuperElement(self.ring, {b: p for b, v in self.terms.items() if (p := mul(v, c))})
 
     def __pow__(self, n: int):

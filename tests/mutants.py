@@ -34,6 +34,7 @@ CANCELLATION = "tests/test_product_cancellation.py"
 PACKED = "tests/test_packed_keys.py"
 FLAT = "tests/test_flat_products.py"
 ONE_PASS = "tests/test_one_pass_maps.py"
+INTERNING = "tests/test_ring_interning.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -266,6 +267,20 @@ MUTANTS = [
         "{b: p for b, v in self.terms.items() if (p := mul(v, c))}",
         "{b: mul(v, c) for b, v in self.terms.items()}",
         ["tests/test_element_rules.py::test_scale_drops_zero_products_over_z6"],
+    ),
+    (
+        "intern-key-drops-relation",
+        "superalg/scalars.py",
+        "descriptor = ring._identity()",
+        'descriptor = repr({**ring.to_json(), "relation": None})',
+        [f"{INTERNING}::test_descriptors_that_differ_in_one_field_give_distinct_rings"],
+    ),
+    (
+        "entry-stored-before-build",
+        "superalg/scalars.py",
+        "        ring = _remember(key, canonical(build()))\n",
+        "        _remember(key, None)  # reserved while the ring is built\n        ring = _remember(key, canonical(build()))\n",
+        [f"{INTERNING}::test_a_malformed_descriptor_raises_on_every_call"],
     ),
 ]
 
