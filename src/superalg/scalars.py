@@ -57,7 +57,9 @@ shared ring must not be mutated beyond its pure caches -- ``_identity_text``
 and a quotient ring's ``_rhs_powers`` and ``_rename_plans``, which hold the
 same values whoever fills them.  A descriptor that raises stores nothing,
 and a direct ``PolyQuotientRing(...)`` or ``SuperRing(...)`` call builds a
-new ring that no one shares.
+new ring that no one shares.  :func:`shared` keeps other built-and-checked
+objects in the same table, stored as they are: ``make_sphere_projector``'s
+bundles.
 """
 
 from __future__ import annotations
@@ -114,13 +116,14 @@ def _decimal(value) -> str:
 
 
 def _parse_fraction(text) -> Fraction:
+    digits = _decimal(text).strip()  # an int past the digit limit fails here, with its DomainError
     try:
-        return Fraction(str(text).strip())
+        return Fraction(digits)
     except ZeroDivisionError:
         pass
     except ValueError:
         limit = _digit_limit()
-        if limit and re.search("[0-9]{%d}" % (limit + 1), str(text)):
+        if limit and re.search("[0-9]{%d}" % (limit + 1), digits):
             raise digit_limit_error(f"coefficient {_echo(text)}") from None
     raise DomainError(f"coefficient {_echo(text)} is not a rational number")
 
@@ -1041,11 +1044,11 @@ def json_count(data, what: str) -> int:
     return data
 
 
-INTERN_LIMIT = 256  # entries of the ring table; a perfbench cli cycle stores 50
+INTERN_LIMIT = 256  # entries of the table; a perfbench cli cycle stores 54: 50 rings, 4 sphere projector bundles
 _JSON_KEY_NODES = 1 << 16  # a descriptor with more values, or a cyclic one, is built uncached
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 _MISSING = object()
-_rings = {}  # intern key or descriptor -> ring, oldest first
+_rings = {}  # intern key or descriptor -> ring, or key -> shared object (a sphere projector bundle), oldest first
 
 
 def _remember(key, ring):
@@ -1069,22 +1072,33 @@ def canonical(ring):
     return _rings.get(descriptor) or _remember(descriptor, ring)
 
 
-def interned(key, build):
-    """The ring stored under ``key``; on a miss ``build()``, made :func:`canonical` and stored under ``key``.
+def shared(key, build, store=_remember):
+    """The object stored under ``key``; on a miss ``store(key, build())``, by default stored as it is.
 
-    So every key whose ring has one descriptor gives one object.  A ``build``
-    that raises stores nothing, and the next call raises again.  A key of
-    ``None``, or one that does not hash, is built on every call.
+    A ``build`` that raises stores nothing, and the next call raises again.  A
+    key of ``None``, or one that does not hash, is built on every call and not stored.
     """
     if key is None:
         return build()
     try:
-        ring = _rings.get(key, _MISSING)
+        found = _rings.get(key, _MISSING)
     except (TypeError, ValueError, DomainError):  # an argument that does not hash, or a ring with no descriptor
         return build()
-    if ring is _MISSING:
-        ring = _remember(key, canonical(build()))
-    return ring
+    if found is _MISSING:
+        found = store(key, build())
+    return found
+
+
+def _remember_canonical(key, ring):
+    return _remember(key, canonical(ring))
+
+
+def interned(key, build):
+    """The ring stored under ``key``; on a miss ``build()``, made :func:`canonical` and stored under ``key``.
+
+    So every key whose ring has one descriptor gives one object; otherwise as :func:`shared`.
+    """
+    return shared(key, build, _remember_canonical)
 
 
 def factory_key(factory, *args):

@@ -4,6 +4,10 @@ The sphere projector lives over the quotient ring
 ``R[x0..xn] / (x0^2 + ... + xn^2 - 1)`` and sends basis vector ``s_i`` to
 ``sum_j xi xj s_j``.  Its image is generated by ``alpha = sum_j xj s_j`` and
 its kernel is the stably free tangent module.
+
+:func:`make_sphere_projector` builds and checks one bundle per ``(n, base,
+odd_names)`` per process and shares it; its ``g`` keeps the ``g∘g - g``
+residual of those checks.  A shared bundle must not be mutated.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .reports import SuiteReport
-from .scalars import CoeffRing, IntegerModRing, PolyQuotientRing, RationalRing, Relation, factory_key, interned
+from .scalars import CoeffRing, IntegerModRing, PolyQuotientRing, RationalRing, Relation, factory_key, interned, shared
 from .supermodule import FreeType, ModElement, SuperMorphism, split_idempotent
 from .superring import SuperRing
 
@@ -53,7 +57,16 @@ class SphereProjectorBundle:
 
 
 def make_sphere_projector(n: int, base: CoeffRing = None, odd_names=()) -> SphereProjectorBundle:
-    """Build the projector ``g(s_i) = sum_j xi xj s_j`` and verify its invariants."""
+    """The projector ``g(s_i) = sum_j xi xj s_j``, its invariants verified, one bundle per ``(n, base, odd_names)``.
+
+    The checks run on the first call per descriptor in a process; a call that
+    raises stores nothing.  The bundle is shared: do not mutate it.
+    """
+    odd_names = tuple(odd_names)
+    return shared(factory_key(make_sphere_projector, n, base, odd_names), lambda: _sphere_projector(n, base, odd_names))
+
+
+def _sphere_projector(n: int, base: CoeffRing, odd_names: tuple) -> SphereProjectorBundle:
     if n < 1:
         raise DomainError("sphere dimension index must be at least 1")
     ring = sphere_ring(n, base, odd_names)

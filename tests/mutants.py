@@ -278,9 +278,31 @@ MUTANTS = [
     (
         "entry-stored-before-build",
         "superalg/scalars.py",
-        "        ring = _remember(key, canonical(build()))\n",
-        "        _remember(key, None)  # reserved while the ring is built\n        ring = _remember(key, canonical(build()))\n",
+        "        found = store(key, build())\n",
+        "        _remember(key, None)  # reserved while the object is built\n        found = store(key, build())\n",
         [f"{INTERNING}::test_a_malformed_descriptor_raises_on_every_call"],
+    ),
+    (
+        "bundle-key-drops-odd-names",
+        "superalg/spheres.py",
+        "factory_key(make_sphere_projector, n, base, odd_names)",
+        "factory_key(make_sphere_projector, n, base)",
+        [f"{INTERNING}::test_one_sphere_projector_bundle_per_descriptor"],
+    ),
+    (
+        "bundle-key-drops-base",
+        "superalg/spheres.py",
+        "factory_key(make_sphere_projector, n, base, odd_names)",
+        "factory_key(make_sphere_projector, n, odd_names)",
+        [f"{INTERNING}::test_one_sphere_projector_bundle_per_descriptor"],
+    ),
+    (
+        "bundle-stored-before-checks",
+        "superalg/spheres.py",
+        "    bundle = SphereProjectorBundle(n, ring, g, alpha)\n",
+        "    from .scalars import _remember\n"
+        "    bundle = _remember(factory_key(make_sphere_projector, n, base, odd_names), SphereProjectorBundle(n, ring, g, alpha))\n",
+        [f"{INTERNING}::test_a_sphere_projector_that_fails_stores_nothing"],
     ),
 ]
 

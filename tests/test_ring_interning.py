@@ -17,10 +17,11 @@ import superalg.scalars as scalars
 from superalg.cli import main
 from superalg.errors import DomainError
 from superalg.landi import make_uosp_ring, projector_p
-from superalg.scalars import PolyQuotientRing, RationalRing, coeff_ring_from_json
-from superalg.spheres import make_sphere_projector, sphere_coeff_ring, sphere_ring, z6_ring
+from superalg.scalars import IntegerModRing, PolyQuotientRing, RationalRing, coeff_ring_from_json
+from superalg.spheres import SphereProjectorBundle, make_sphere_projector, sphere_coeff_ring, sphere_ring, z6_ring
 from superalg.suites import random_element
 from superalg.superanalysis import trig_coeff_ring, trig_super_ring
+from superalg.supermodule import SuperMorphism, split_idempotent
 from superalg.superring import SuperRing, grassmann_ring
 
 FACTORIES = [
@@ -75,6 +76,66 @@ def test_factory_arguments_are_normalized_and_typed():
     with pytest.raises(TypeError):  # as before interning: 1.0 does not find the ring of 1
         sphere_ring(1.0)
     assert make_sphere_projector(2).ring is sphere_ring(2)
+
+
+def test_one_sphere_projector_bundle_per_descriptor():
+    bundle = make_sphere_projector(2)
+    assert make_sphere_projector(2) is bundle
+    over_q = make_sphere_projector(2, RationalRing())
+    assert make_sphere_projector(2, coeff_ring_from_json({"kind": "rational"})) is over_q  # equal descriptors
+    assert over_q.ring is bundle.ring and over_q.g == bundle.g
+    assert make_sphere_projector(2, odd_names=["b1"]) is make_sphere_projector(2, None, ("b1",))
+    others = [
+        make_sphere_projector(1),
+        make_sphere_projector(True),  # as for rings, the argument types are in the key
+        make_sphere_projector(2, IntegerModRing(7)),
+        make_sphere_projector(2, odd_names=("b1",)),
+        make_sphere_projector(2, odd_names=("b2",)),
+    ]
+    assert len({id(b) for b in [bundle, *others]}) == 6
+    for other in others:
+        assert other.ring is sphere_ring(other.n, other.ring.coeff.base, other.ring.odd_names)
+    assert others[2].ring is not bundle.ring and others[3].ring is not bundle.ring
+    assert others[1].g == others[0].g
+
+
+def test_a_shared_bundle_equals_a_new_one():
+    bundle, new = make_sphere_projector(3), fresh(lambda: make_sphere_projector(3))
+    assert new is not bundle and new.ring is not bundle.ring
+    assert new.g.to_json() == bundle.g.to_json() and new.alpha.to_json() == bundle.alpha.to_json()
+
+
+def test_a_sphere_projector_that_fails_stores_nothing(monkeypatch):
+    monkeypatch.setattr(scalars, "_rings", {})
+    for _ in range(2):
+        with pytest.raises(DomainError, match="at least 1"):
+            make_sphere_projector(0)
+    assert scalars._rings == {}
+    monkeypatch.setattr(SuperMorphism, "is_idempotent", lambda self: False)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="idempotence"):
+            make_sphere_projector(1)
+    assert not any(isinstance(found, SphereProjectorBundle) for found in scalars._rings.values())
+
+
+@pytest.mark.skipif(not scalars._digit_limit(), reason="no integer digit limit in this Python")
+def test_a_sphere_projector_whose_key_does_not_hash_is_built_every_time():
+    base = IntegerModRing(10 ** (scalars._digit_limit() + 1))  # its descriptor, so its hash, cannot be written
+    first, second = make_sphere_projector(1, base), make_sphere_projector(1, base)
+    assert first is not second and first.ring.coeff.base is base
+    assert first.g.is_idempotent() and second.g.is_idempotent()
+
+
+def test_morphisms_derived_from_a_shared_g_leave_it_unchanged():
+    g = make_sphere_projector(1).g
+    matrix, residual = g.matrix, g.idempotence_residual()
+    doubled, negated = g + g, -g
+    assert not doubled.is_idempotent() and not negated.is_idempotent()
+    split = split_idempotent(g)
+    assert split.round_trip_holds() and not split.kernel_projector.is_zero()
+    assert make_sphere_projector(1).g is g
+    assert g.matrix is matrix and g.idempotence_residual() == residual == []
+    assert g.is_idempotent() and g == fresh(lambda: make_sphere_projector(1)).g
 
 
 BASE = {

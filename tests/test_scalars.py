@@ -12,9 +12,11 @@ from superalg.scalars import (
     RadicalGaussianRing,
     RationalRing,
     Relation,
+    _digit_limit,
     coeff_ring_from_json,
     squarefree_split,
 )
+from superalg.superring import SuperElement
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -281,3 +283,18 @@ def test_rational_values_are_ints_or_proper_fractions(p, q):
         assert value == expected and hash(value) == hash(expected)
         assert ring.to_str(value) == str(expected)
         assert ring.value_to_json(value) == str(expected)
+
+
+@pytest.mark.skipif(not _digit_limit(), reason="no integer digit limit in this Python")
+def test_an_int_coefficient_past_the_digit_limit_is_a_domain_error():
+    huge = 10 ** (_digit_limit() + 1)
+    expected = "coefficient has more than %d digits" % _digit_limit()
+    for ring in (RationalRing(), IntegerModRing(7)):
+        with pytest.raises(DomainError, match=expected):
+            ring.value_from_json(huge)
+    with pytest.raises(DomainError, match=expected):
+        GaussianRationalRing().value_from_json({"re": huge, "im": "0"})
+    data = {"ring": {"coeffs": {"kind": "rational"}, "odd_generators": ["e"]}, "terms": [{"odd": [1], "coeff": huge}]}
+    with pytest.raises(DomainError, match=expected):
+        SuperElement.from_json(data)
+    assert RationalRing().value_from_json(10 ** 50) == 10 ** 50  # an int within the limit reads as before

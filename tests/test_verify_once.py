@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import superalg.scalars as scalars
 from superalg import cli
 from superalg.spheres import make_sphere_projector, stably_free_certificate, z6_ring
 from superalg.supermodule import FreeType, SuperMorphism, split_idempotent
@@ -29,10 +30,20 @@ def self_composes(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_sphere_certificate_composes_g_once(self_composes, n):
+def test_sphere_certificate_composes_g_once(self_composes, monkeypatch, n):
+    monkeypatch.setattr(scalars, "_rings", {})  # so the bundle is built here, whatever ran before
     report = stably_free_certificate(make_sphere_projector(n))
     assert report.passed
-    assert len(self_composes) == 1
+    assert len(self_composes) == 1  # the construction check; the certificate reuses its residual
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_shared_bundle_composes_nothing_again(self_composes, n):
+    bundle = make_sphere_projector(n, odd_names=("c1",))
+    self_composes.clear()
+    assert make_sphere_projector(n, odd_names=["c1"]) is bundle
+    assert stably_free_certificate(bundle).passed
+    assert self_composes == []
 
 
 def test_certify_composes_g_once(self_composes, tmp_path, capsys):
