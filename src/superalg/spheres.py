@@ -5,9 +5,9 @@ The sphere projector lives over the quotient ring
 ``sum_j xi xj s_j``.  Its image is generated by ``alpha = sum_j xj s_j`` and
 its kernel is the stably free tangent module.
 
-:func:`make_sphere_projector` builds and checks one bundle per ``(n, base,
-odd_names)`` per process and shares it; its ``g`` keeps the ``g∘g - g``
-residual of those checks.  A shared bundle must not be mutated.
+:func:`make_sphere_projector` builds and checks one bundle per ``(n, ring)``
+per process and shares it; its ``g`` keeps the ``g∘g - g`` residual of those
+checks.  A shared bundle must not be mutated.
 """
 
 from __future__ import annotations
@@ -57,19 +57,20 @@ class SphereProjectorBundle:
 
 
 def make_sphere_projector(n: int, base: CoeffRing = None, odd_names=()) -> SphereProjectorBundle:
-    """The projector ``g(s_i) = sum_j xi xj s_j``, its invariants verified, one bundle per ``(n, base, odd_names)``.
+    """The projector ``g(s_i) = sum_j xi xj s_j``, its invariants verified, one bundle per ``(n, ring)``.
 
-    The checks run on the first call per descriptor in a process; a call that
-    raises stores nothing.  The bundle is shared: do not mutate it.
+    The bundle is keyed on the shared :func:`sphere_ring`, so arguments that
+    name one ring find one bundle.  The checks run on the first call per key
+    in a process; a call that raises stores nothing.  The bundle is shared:
+    do not mutate it.
     """
-    odd_names = tuple(odd_names)
-    return shared(factory_key(make_sphere_projector, n, base, odd_names), lambda: _sphere_projector(n, base, odd_names))
-
-
-def _sphere_projector(n: int, base: CoeffRing, odd_names: tuple) -> SphereProjectorBundle:
     if n < 1:
         raise DomainError("sphere dimension index must be at least 1")
     ring = sphere_ring(n, base, odd_names)
+    return shared(factory_key(make_sphere_projector, n, ring), lambda: _sphere_projector(n, ring))
+
+
+def _sphere_projector(n: int, ring: SuperRing) -> SphereProjectorBundle:
     xs = [ring.even_gen(f"x{i}") for i in range(n + 1)]
     ftype = FreeType(n + 1, 0)
     matrix = [[xs[i] * xs[j] for j in range(n + 1)] for i in range(n + 1)]

@@ -310,14 +310,16 @@ def fraction_sqrt(fr: Fraction) -> Fraction:
 
 
 def sqrt_even(z: SuperElement, root0) -> SuperElement:
-    """The even square root with prescribed body, by induction on index length.
+    """The even square root with prescribed body, solved one grade at a time.
 
-    Solves ``x_lam = (z_lam - sum over proper partitions mu|nu of lam of
-    sign(mu,nu) x_mu x_nu) / (2 x_0)`` in increasing index length, for each
-    mask ``lam`` the root can reach; the result is verified by squaring.  Only
-    even ``mu, nu`` carry a coefficient, and for those ``x_mu x_nu = x_nu
-    x_mu``, so each unordered partition is visited once, with ``mu`` holding
-    the lowest bit of ``lam``, and the sum is doubled.
+    Write ``x = root0 + y_2 + y_4 + ...`` with ``y_g`` the part of grade
+    ``g``.  A product of parts of grades ``a`` and ``b`` has grade ``a + b``,
+    so ``y_g = (z_g - sum over a + b = g of y_a y_b) / (2 root0)`` and every
+    part on the right is solved before ``y_g``: relaxed multiplication (van
+    der Hoeven, "Relax, but don't be too lazy", 2002).  Even parts commute,
+    so each cross pair ``a < b`` is one doubled product and ``a = b`` is a
+    square; products are formed only of parts that are present.  The result
+    is verified by squaring.
     """
     ring = z.ring
     coeff = ring.coeff
@@ -334,49 +336,17 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
         raise DomainError("the coefficient ring does not support exact division")
     inverse = coeff.div(coeff.one(), double)
 
-    # The root, root0 times a series in powers of z's soul, can reach only the unions of
-    # pairwise disjoint masks of z; a mask already reached adds no union not already there.
-    reach = {0}
-    for b in sorted(z.terms, key=int.bit_count):
-        if b not in reach:
-            reach |= {r | b for r in reach if not r & b}
-    grades = {}
-    for b in reach - {0}:
-        grades.setdefault(b.bit_count(), []).append(b)
-    coeffs = {0: root0}
-    for grade in sorted(grades):
-        # Every partition of a mask of this grade has parts of lower grades, all
-        # solved: clear their denominators once and sum the partitions in ``sums``.
-        sums, d, x, _ = coeff.cleared(coeffs, coeffs)
-        mul, add, neg = sums.mul, sums.add, sums.neg
-        halves = {}
-        for lam in grades[grade]:
-            low = lam & -lam
-            rest = lam ^ low
-            half = sums.zero()
-            # Sum over partitions mu | nu = lam with low in mu and nu nonzero:
-            # mu = low | sub for the proper submasks sub of rest.
-            sub = rest
-            while sub:
-                sub = (sub - 1) & rest
-                mu = low | sub
-                if mu.bit_count() & 1:
-                    continue  # odd mu and nu carry no coefficient
-                nu = rest ^ sub
-                xmu = x.get(mu)
-                xnu = x.get(nu)
-                if xmu is not None and xnu is not None:
-                    term = mul(xmu, xnu)
-                    half = add(half, neg(term) if (mi.sign_mask(mu) & nu).bit_count() & 1 else term)
-            if half:
-                halves[lam] = half
-        halves = coeff.divided(halves, d)  # only the nonzero sums become rationals
-        for lam in grades[grade]:
-            half = halves.get(lam, coeff.zero())
-            acc = coeff.sub(z.terms.get(lam, coeff.zero()), coeff.add(half, half))
-            if acc:  # a ring with ``div`` is a field, so only a zero ``acc`` gives a zero coefficient
-                coeffs[lam] = coeff.mul(acc, inverse)
-    x = ring.element(coeffs)
+    ys = {}
+    for g in range(2, ring.odd_count + 1, 2):
+        known = ring.sum(
+            (ys[a] + ys[a]) * ys[g - a] if 2 * a < g else ys[a] * ys[a]
+            for a in ys
+            if 2 * a <= g and g - a in ys
+        )
+        rest = SuperElement(ring, {b: c for b, c in z.terms.items() if b.bit_count() == g}) - known
+        if rest.terms:  # a ring with ``div`` is a field: c * inverse is nonzero for nonzero c
+            ys[g] = SuperElement(ring, {b: coeff.mul(c, inverse) for b, c in rest.terms.items()})
+    x = ring.sum((ring.from_coeff(root0), *ys.values()))
     if x * x != z:
         raise DomainError("square-root recursion failed to verify")  # arithmetic bug
     return x

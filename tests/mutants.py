@@ -119,13 +119,23 @@ MUTANTS = [
         [f"{CANCELLATION}::test_quotient_sum_of_products_that_cancels_everywhere"],
     ),
     (
-        "reach-without-union",
+        "sqrt-cross-products-undoubled",
         "superalg/superanalysis.py",
-        "reach |= {r | b for r in reach if not r & b}",
-        "reach |= {b for r in reach if not r & b}",
+        "(ys[a] + ys[a]) * ys[g - a]",
+        "ys[a] * ys[g - a]",
         [
-            "tests/test_superanalysis.py::TestSqrt::test_sparse_root_solves_only_reachable_grades",
             "tests/test_superanalysis.py::test_sqrt_even_matches_binomial_on_sparse_souls[10]",
+            "tests/test_superanalysis.py::TestSqrt::test_dense_root_is_one_product_per_pair_of_grades[10-7]",
+        ],
+    ),
+    (
+        "sqrt-squares-dropped",
+        "superalg/superanalysis.py",
+        "if 2 * a <= g and g - a in ys",
+        "if 2 * a < g and g - a in ys",
+        [
+            "tests/test_superanalysis.py::TestSqrt::test_sparse_root_multiplies_only_present_parts",
+            "tests/test_superanalysis.py::TestSqrt::test_trivial_and_closure_cases",
         ],
     ),
     (
@@ -283,17 +293,17 @@ MUTANTS = [
         [f"{INTERNING}::test_a_malformed_descriptor_raises_on_every_call"],
     ),
     (
-        "bundle-key-drops-odd-names",
+        "bundle-key-drops-ring",
         "superalg/spheres.py",
-        "factory_key(make_sphere_projector, n, base, odd_names)",
-        "factory_key(make_sphere_projector, n, base)",
+        "factory_key(make_sphere_projector, n, ring)",
+        "factory_key(make_sphere_projector, n)",
         [f"{INTERNING}::test_one_sphere_projector_bundle_per_descriptor"],
     ),
     (
-        "bundle-key-drops-base",
+        "bundle-key-drops-types",
         "superalg/spheres.py",
-        "factory_key(make_sphere_projector, n, base, odd_names)",
-        "factory_key(make_sphere_projector, n, odd_names)",
+        "factory_key(make_sphere_projector, n, ring)",
+        "(make_sphere_projector, n, ring)",
         [f"{INTERNING}::test_one_sphere_projector_bundle_per_descriptor"],
     ),
     (
@@ -301,7 +311,7 @@ MUTANTS = [
         "superalg/spheres.py",
         "    bundle = SphereProjectorBundle(n, ring, g, alpha)\n",
         "    from .scalars import _remember\n"
-        "    bundle = _remember(factory_key(make_sphere_projector, n, base, odd_names), SphereProjectorBundle(n, ring, g, alpha))\n",
+        "    bundle = _remember(factory_key(make_sphere_projector, n, ring), SphereProjectorBundle(n, ring, g, alpha))\n",
         [f"{INTERNING}::test_a_sphere_projector_that_fails_stores_nothing"],
     ),
 ]

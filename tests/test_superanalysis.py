@@ -33,7 +33,7 @@ from superalg.superanalysis import (
     trig_super_ring,
 )
 from superalg.spheres import z6_ring
-from superalg.superring import SuperRing, grassmann_ring
+from superalg.superring import SuperElement, SuperRing, grassmann_ring
 
 seeds = st.integers(min_value=0, max_value=10_000)
 RR = RationalRing()
@@ -350,11 +350,12 @@ class TestSqrt:
         assert x * x == z
         assert x == sqrt_even_binomial(z, root0)
 
-    def test_sparse_root_solves_only_reachable_grades(self, monkeypatch):
+    def test_sparse_root_multiplies_only_present_parts(self, monkeypatch):
         # z = 1 + A + B with A, B disjoint of grade 8: the root lives on 0, A, B
-        # and A|B, where z is zero.  Grades 8 and 16 are solved, one cleared sum
-        # each, and the ``x * x`` check clears once more.  Solving every even
-        # submask of A|B would clear once for each grade from 2 to 16.
+        # and A|B, where z is zero.  The grade-8 part is solved with no product,
+        # grades 10 to 14 have no pair of present parts, and grade 16 is the
+        # square of the grade-8 part: one cleared product, and the ``x * x``
+        # check clears once more.
         ring = grassmann_ring(16)
         A, B = 0x00FF, 0xFF00
         z = ring.element({0: Fraction(1), A: Fraction(1), B: Fraction(1)})
@@ -363,7 +364,21 @@ class TestSqrt:
         monkeypatch.setattr(RationalRing, "cleared", lambda *a: calls.append(1) or cleared(*a))
         x = sqrt_even(z, Fraction(1))
         assert x.terms == {0: 1, A: Fraction(1, 2), B: Fraction(1, 2), A | B: Fraction(-1, 4)}
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("L, products", [(10, 7), (12, 10)])
+    def test_dense_root_is_one_product_per_pair_of_grades(self, monkeypatch, L, products):
+        # Grade g is solved from one product for each pair a <= b of present
+        # parts with a + b = g (at L = 10: one each for 4 and 6, two each for
+        # 8 and 10), and the ``x * x`` check is one more.
+        rng = random.Random(L)
+        ring = grassmann_ring(L)
+        z = ring.from_fraction(Fraction(9, 4)) + _dense_even_soul(rng, ring, _rational_value)
+        calls = []
+        mul = SuperElement.__mul__
+        monkeypatch.setattr(SuperElement, "__mul__", lambda *a: calls.append(1) or mul(*a))
+        sqrt_even(z, Fraction(3, 2))
+        assert len(calls) == products
 
     def test_preconditions(self):
         ring = grassmann_ring(2)
@@ -464,7 +479,7 @@ def _random_even_mask(rng, L):
     return sum(1 << i for i in rng.sample(range(L), rng.randrange(2, L + 1, 2)))
 
 
-@pytest.mark.parametrize("L", [10, 12, 14, 16])
+@pytest.mark.parametrize("L", [10, 12, 14, 16, 20, 24])
 def test_sqrt_even_matches_binomial_on_sparse_souls(L):
     rng = random.Random(L)
     ring = grassmann_ring(L)
