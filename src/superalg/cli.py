@@ -130,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     evaluate = sub.add_parser("eval", help="normalize an expression over a ring")
-    evaluate.add_argument("expression")
+    evaluate.add_argument(
+        "expression", help="the expression; one that starts with '-' goes after '--': eval --ring r.json -- '-b1*b2'"
+    )
     evaluate.add_argument("--ring", required=True, help="path to a ring descriptor JSON file")
     evaluate.add_argument("--format", choices=("text", "json"), default="text")
     evaluate.set_defaults(func=cmd_eval)

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalars import IDENTIFIER, PolyQuotientRing
+from .scalars import IDENTIFIER, MAX_EXPONENT, PolyQuotientRing
 from .superring import SuperElement, SuperRing
 
 _TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER})|([+\-*^()/]))")
@@ -103,6 +103,10 @@ class _Parser:
                 kind, exp, pos = self.advance()
                 if kind != "num":
                     raise ParseError("exponent must be a nonnegative integer", pos)
+                if exp > MAX_EXPONENT:
+                    raise DomainError(f"exponent {exp} is past {MAX_EXPONENT}, the largest a power takes")
+                for c in result.terms.values():  # a coefficient past the digit limit raises at once: no chain runs away
+                    self.ring.coeff.to_str(c)
                 result = result ** exp
             else:
                 return result

@@ -34,11 +34,8 @@ def make_uosp_ring() -> SuperRing:
 
 
 def _uosp_ring() -> SuperRing:
-    base = RadicalGaussianRing()
-    variables = ("a", "ad", "b", "bd")
-    plain = PolyQuotientRing(base, variables)
-    rhs = plain.sub(plain.one(), plain.mul(plain.var("b"), plain.var("bd")))
-    coeff = canonical(PolyQuotientRing(base, variables, Relation(("a", "ad"), rhs)))
+    relation = Relation(("a", "ad"), "1 - b*bd")
+    coeff = canonical(PolyQuotientRing(RadicalGaussianRing(), ("a", "ad", "b", "bd"), relation))
     involution = Involution(
         even_pairs=[("a", "ad"), ("b", "bd")],
         odd_pairs=[("eta", "etad")],

@@ -666,12 +666,14 @@ class Relation:
 
     ``heads`` is a pair of variable names, a tuple or a list (stored as a
     tuple); a square is the pair of one name, so ``("x0", "x0")`` rewrites
-    ``x0**2``.  ``rhs`` must not mention the head variables, which makes the
-    rewrite terminating and confluent.
+    ``x0**2``.  ``rhs`` is a value of the ring without the relation, polynomial
+    text such as ``"1 - y^2"`` or a list of JSON terms, which
+    :class:`PolyQuotientRing` reads in that ring.  It must not mention the
+    head variables, which makes the rewrite terminating and confluent.
     """
 
     heads: tuple  # (u, v)
-    rhs: dict  # a value of the ring
+    rhs: object  # a value of the ring without the relation, polynomial text or JSON terms
 
     def __post_init__(self):
         if isinstance(self.heads, list):  # not any iterable: tuple("xy") would split a string
@@ -697,7 +699,9 @@ class PolyQuotientRing(CoeffRing):
     (guard) bit when it passes the limit, and every result is tested for a
     guard bit once, where its terms are visited anyway, raising
     ``DomainError``.  ``monomials``, ``monomial``, ``from_scalar`` and the
-    JSON forms speak in ``(exponent tuple, base scalar)`` pairs.
+    JSON forms speak in ``(exponent tuple, base scalar)`` pairs.  A relation's
+    text or JSON-term ``rhs`` is read in ``PolyQuotientRing(base, variables)``;
+    ``relation.rhs`` is always the value.
     """
 
     kind = "poly_quotient"
@@ -722,16 +726,22 @@ class PolyQuotientRing(CoeffRing):
             raise DomainError("ring variable 'i' would read as the imaginary unit of the base ring")
         self.relation = relation
         if relation is not None:
-            heads = relation.heads
+            heads, rhs = relation.heads, relation.rhs
             if not isinstance(heads, tuple) or len(heads) != 2 or not all(h in self._var_pos for h in heads):
                 raise DomainError(f"relation heads {heads!r} are not a pair of ring variables")
+            if isinstance(rhs, (str, list)):  # text or JSON terms, read in the ring without the relation
+                from .expressions import parse_polynomial  # imported here: expressions imports this module
+
+                plain = PolyQuotientRing(base, self.variables)
+                rhs = parse_polynomial(rhs, plain) if isinstance(rhs, str) else plain.value_from_json(rhs)
+                self.relation = Relation(heads, rhs)
             self._heads = tuple(self._var_pos[h] for h in heads)
             self._head_shifts = tuple(EXPONENT_BITS * i for i in self._heads)
             self._head_step = sum(1 << shift for shift in self._head_shifts)  # one of each head
-            for exps, _ in self.monomials(relation.rhs):
+            for exps, _ in self.monomials(rhs):
                 if any(exps[i] for i in self._heads):
                     raise DomainError("relation right-hand side must not mention its head variables")
-            self._rhs_powers = [self.one(), relation.rhs]
+            self._rhs_powers = [self.one(), rhs]
 
     # -- construction -----------------------------------------------------
 
@@ -863,27 +873,10 @@ class PolyQuotientRing(CoeffRing):
             return terms
         return self._products(rewrites, kept)
 
-    def normal_form_dict(self, terms):
-        """The normal form of the sum of ``(key, scalar)`` pairs: collect, rewrite, test the exponents."""
-        tagged = collect(self._scalars, (((None, exps, s), c) for (exps, s), c in terms))
+    def _by_tag(self, terms):
+        """``{tag: value}``: ``terms`` in normal form, split by tag; ``DomainError`` for an exponent past the limit."""
         out, guard = {}, self._guard
-        for (_, exps, s), c in self._normal_form(tagged).items():
-            if exps & guard:
-                raise self._past_limit(exps)
-            out[exps, s] = c
-        return out
-
-    def sum_of_products(self, products) -> dict:
-        """``{tag: value}``: the normal form of the sum of ``±u*v`` over ``(tag, negate, u, v)`` quadruples.
-
-        Every term product is added, keyed by ``(tag, packed exponents,
-        radicand)``, into one dict as it is formed, and the sum is normalized
-        once (:meth:`_normal_form`) however many quadruples share a tag; a tag
-        whose sum is zero is absent.  A term with an exponent past
-        :data:`MAX_EXPONENT` raises ``DomainError``.
-        """
-        out, guard = {}, self._guard
-        for (tag, exps, s), c in self._normal_form(self._products(products, {})).items():
+        for (tag, exps, s), c in self._normal_form(terms).items():
             if exps & guard:  # one test per output term, none per term product
                 raise self._past_limit(exps)
             value = out.get(tag)
@@ -892,6 +885,19 @@ class PolyQuotientRing(CoeffRing):
             else:
                 value[exps, s] = c
         return out
+
+    def normal_form_dict(self, terms):
+        """The normal form of the sum of ``(key, scalar)`` pairs: collect, rewrite, test the exponents."""
+        tagged = collect(self._scalars, (((None, exps, s), c) for (exps, s), c in terms))
+        return self._by_tag(tagged).get(None, {})
+
+    def sum_of_products(self, products) -> dict:
+        """``{tag: value}``: the normal form of the sum of ``±u*v`` over ``(tag, negate, u, v)`` quadruples.
+
+        Every term product is added into one dict as it is formed, and the sum
+        is normalized once however many quadruples share a tag.
+        """
+        return self._by_tag(self._products(products, {}))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -1155,8 +1161,7 @@ def _coeff_ring_from_json(data) -> CoeffRing:
     if kind == "poly_quotient":
         base = coeff_ring_from_json(data.get("base"))
         variables = json_names(data.get("vars"), "'vars'")
-        ring = PolyQuotientRing(base, variables)
-        rel = data.get("relation")
+        relation, rel = None, data.get("relation")
         if rel is not None:
             lead = json_mapping(rel, "'relation'", "rhs").get("lead")
             if isinstance(lead, str):  # "x" is x*x; "x*y" and "x*x" name both factors
@@ -1164,13 +1169,8 @@ def _coeff_ring_from_json(data) -> CoeffRing:
             heads = json_names(lead, "'lead'")
             if len(heads) != 2:
                 raise DomainError("'lead' must name one variable or a product of two")
-            rhs_data = rel["rhs"]
-            if isinstance(rhs_data, str):
-                from .expressions import parse_polynomial  # imported here: expressions imports this module
-
-                rhs = parse_polynomial(rhs_data, ring)
-            else:
-                rhs = ring.value_from_json(rhs_data)
-            ring = PolyQuotientRing(base, variables, Relation(heads, rhs))
-        return ring
+            if not isinstance(rel["rhs"], (str, list)):  # a JSON object would pass unread, as a ring value
+                raise DomainError("a polynomial value must be a list of terms")
+            relation = Relation(heads, rel["rhs"])
+        return PolyQuotientRing(base, variables, relation)
     raise DomainError(f"unknown coefficient ring kind {kind!r}")

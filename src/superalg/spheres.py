@@ -24,16 +24,11 @@ from .superring import SuperRing
 
 def sphere_coeff_ring(n: int, base: CoeffRing = None) -> PolyQuotientRing:
     """``base[x0..xn]`` with the relation ``x0^2 = 1 - x1^2 - ... - xn^2``, one object per ``(n, base)``."""
-    return interned(factory_key(sphere_coeff_ring, n, base), lambda: _sphere_coeff_ring(n, base or RationalRing()))
-
-
-def _sphere_coeff_ring(n: int, base: CoeffRing) -> PolyQuotientRing:
-    variables = tuple(f"x{i}" for i in range(n + 1))
-    plain = PolyQuotientRing(base, variables)
-    rhs = plain.one()
-    for v in variables[1:]:
-        rhs = plain.sub(rhs, plain.mul(plain.var(v), plain.var(v)))
-    return PolyQuotientRing(base, variables, Relation((variables[0], variables[0]), rhs))
+    relation = Relation(("x0", "x0"), "1" + "".join(f" - x{i}^2" for i in range(1, n + 1)))
+    return interned(
+        factory_key(sphere_coeff_ring, n, base),
+        lambda: PolyQuotientRing(base or RationalRing(), [f"x{i}" for i in range(n + 1)], relation),
+    )
 
 
 def sphere_ring(n: int, base: CoeffRing = None, odd_names=()) -> SuperRing:
@@ -97,7 +92,7 @@ def stably_free_certificate(bundle: SphereProjectorBundle) -> SuiteReport:
     )
     report.add("idempotent", g.is_idempotent(), "g*g = g")
 
-    xs = [ring.even_gen(f"x{i}") for i in range(n + 1)]
+    xs = alpha.coeffs
     report.trials("image-generated-by-alpha", "multipliers: " + ", ".join(x.to_text() for x in xs), (
         (g.apply(ModElement.basis(ring, g.source, i)) == alpha.right_mul(x), {"i": i})
         for i, x in enumerate(xs)

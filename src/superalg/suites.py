@@ -253,8 +253,7 @@ def suite_universal_property(count: int = 50, seed: int = 0) -> SuiteReport:
     ))
 
     bundle = make_sphere_projector(2)
-    xs = [bundle.ring.even_gen(f"x{i}") for i in range(3)]
-    images = [bundle.alpha.right_mul(xi) for xi in xs]
+    images = [bundle.alpha.right_mul(xi) for xi in bundle.alpha.coeffs]
     rebuilt = extend_basis_map(bundle.ring, bundle.g.source, images)
     report.add("reconstructs-tangent-projector", rebuilt == bundle.g, "images alpha*xi give g")
 

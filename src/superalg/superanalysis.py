@@ -22,8 +22,8 @@ from itertools import chain
 
 from . import multiindex as mi
 from .errors import DomainError, ParityError
-from .scalars import PolyQuotientRing, RationalRing, Relation, collect, factory_key, interned
-from .superring import SuperElement, SuperRing
+from .scalars import PolyQuotientRing, RationalRing, Relation, collect, interned
+from .superring import SuperElement, SuperRing, grassmann_ring
 
 
 @dataclass(frozen=True)
@@ -220,21 +220,13 @@ def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
 
 def trig_coeff_ring() -> PolyQuotientRing:
     """``Q[S, C]`` with ``S^2 = 1 - C^2``, one object per process."""
-    return interned((trig_coeff_ring,), _trig_coeff_ring)
-
-
-def _trig_coeff_ring() -> PolyQuotientRing:
-    base = RationalRing()
-    plain = PolyQuotientRing(base, ("S", "C"))
-    rhs = plain.sub(plain.one(), plain.mul(plain.var("C"), plain.var("C")))
-    return PolyQuotientRing(base, ("S", "C"), Relation(("S", "S"), rhs))
+    relation = Relation(("S", "S"), "1 - C^2")
+    return interned((trig_coeff_ring,), lambda: PolyQuotientRing(RationalRing(), ("S", "C"), relation))
 
 
 def trig_super_ring(L: int) -> SuperRing:
-    """:func:`trig_coeff_ring` with ``L`` odd generators ``b1..bL``, one object per ``L``."""
-    return interned(
-        factory_key(trig_super_ring, L), lambda: SuperRing(trig_coeff_ring(), tuple(f"b{i}" for i in range(1, L + 1)))
-    )
+    """:func:`trig_coeff_ring` with ``L`` odd generators ``b1..bL``: ``grassmann_ring(L, trig_coeff_ring())``."""
+    return grassmann_ring(L, trig_coeff_ring())
 
 
 @lru_cache(maxsize=32)  # rings hash by their descriptor, so equal rings share an entry
@@ -336,14 +328,15 @@ def sqrt_even(z: SuperElement, root0) -> SuperElement:
         raise DomainError("the coefficient ring does not support exact division")
     inverse = coeff.div(coeff.one(), double)
 
+    parts = {}  # z's terms by grade, bucketed once
+    for b, c in z.terms.items():
+        parts.setdefault(b.bit_count(), {})[b] = c
     ys = {}
     for g in range(2, ring.odd_count + 1, 2):
-        known = ring.sum(
-            (ys[a] + ys[a]) * ys[g - a] if 2 * a < g else ys[a] * ys[a]
-            for a in ys
-            if 2 * a <= g and g - a in ys
-        )
-        rest = SuperElement(ring, {b: c for b, c in z.terms.items() if b.bit_count() == g}) - known
+        rest = SuperElement(ring, parts.get(g, {}))
+        solved = [a for a in ys if 2 * a <= g and g - a in ys]
+        if solved:  # a grade with no pair of solved parts makes no sum
+            rest -= ring.sum((ys[a] + ys[a]) * ys[g - a] if 2 * a < g else ys[a] * ys[a] for a in solved)
         if rest.terms:  # a ring with ``div`` is a field: c * inverse is nonzero for nonzero c
             ys[g] = SuperElement(ring, {b: coeff.mul(c, inverse) for b, c in rest.terms.items()})
     x = ring.sum((ring.from_coeff(root0), *ys.values()))

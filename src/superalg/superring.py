@@ -215,16 +215,8 @@ class SuperRing:
         return SuperElement(self, collect(self.coeff, chain.from_iterable(terms)))
 
     def sum_of_products(self, pairs) -> "SuperElement":
-        """The sum of ``x * y`` over the ``(x, y)`` pairs; zero for no pairs.
-
-        The one-group case of :meth:`sums_of_products`, with no result list
-        to build and index, and over a quotient coefficient ring ``x * y`` is
-        its one-pair case.
-        """
-        own = self._own
-        if not self._quotient:
-            return self.sum(own(x) * own(y) for x, y in pairs)
-        return SuperElement(self, self.coeff.sum_of_products(_tagged_products(own, (pairs,), 0, [])))
+        """The sum of ``x * y`` over the ``(x, y)`` pairs, the one-group case of :meth:`sums_of_products`."""
+        return self.sums_of_products((pairs,))[0]
 
     def sums_of_products(self, groups) -> list:
         """``[self.sum_of_products(pairs) for pairs in groups]``, over a quotient ring in one pass.

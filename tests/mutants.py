@@ -35,6 +35,7 @@ PACKED = "tests/test_packed_keys.py"
 FLAT = "tests/test_flat_products.py"
 ONE_PASS = "tests/test_one_pass_maps.py"
 INTERNING = "tests/test_ring_interning.py"
+RELATION = "tests/test_relation_forms.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -313,6 +314,41 @@ MUTANTS = [
         "    from .scalars import _remember\n"
         "    bundle = _remember(factory_key(make_sphere_projector, n, ring), SphereProjectorBundle(n, ring, g, alpha))\n",
         [f"{INTERNING}::test_a_sphere_projector_that_fails_stores_nothing"],
+    ),
+    (
+        "relation-rhs-object-accepted",
+        "superalg/scalars.py",
+        'if not isinstance(rel["rhs"], (str, list)):  # a JSON object would pass unread, as a ring value',
+        "if False:",
+        [f"{RELATION}::test_a_descriptor_rhs_that_is_a_json_object_exits_two[empty]"],
+    ),
+    (
+        "relation-read-over-the-rationals",
+        "superalg/scalars.py",
+        "plain = PolyQuotientRing(base, self.variables)",
+        "plain = PolyQuotientRing(RationalRing(), self.variables)",
+        [f"{RELATION}::test_text_terms_and_value_give_one_ring[uosp]"],
+    ),
+    (
+        "relation-keeps-its-text",
+        "superalg/scalars.py",
+        "                self.relation = Relation(heads, rhs)\n",
+        "",
+        [f"{RELATION}::test_text_terms_and_value_give_one_ring[trig]"],
+    ),
+    (
+        "power-exponent-unbounded",
+        "superalg/expressions.py",
+        "if exp > MAX_EXPONENT:",
+        "if False:",
+        [f"{RELATION}::test_an_exponent_past_the_limit_is_refused_before_the_power"],
+    ),
+    (
+        "power-base-unchecked",
+        "superalg/expressions.py",
+        "                    self.ring.coeff.to_str(c)\n",
+        "                    pass\n",
+        [f"{RELATION}::test_a_power_of_a_base_past_the_digit_limit_is_refused_before_it_is_formed"],
     ),
 ]
 

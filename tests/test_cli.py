@@ -531,3 +531,18 @@ def test_coefficient_past_the_digit_limit_is_named(capsys, tmp_path, grassmann_r
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (2, "")
     assert err == f"error: {message} has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
+
+
+def test_eval_expression_with_a_leading_minus_goes_after_double_dash(capsys, grassmann_ring_file):
+    """Without ``--`` argparse reads ``-b1*b2`` as an option; after it, as the expression."""
+    assert run(capsys, "eval", "--ring", grassmann_ring_file, "--", "-b1*b2") == (0, "-1*b1*b2\n", "")
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit in this Python")
+def test_chained_power_past_the_digit_limit_exits_two_at_once(capsys, grassmann_ring_file):
+    """``(71/227)^927^9`` has a denominator of 19,656 digits, so its 212th power is refused before it is formed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "(71/227)^927^9^212", "--ring", grassmann_ring_file)
+    assert (code, out) == (2, "")
+    assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
+    assert time.perf_counter() - start < 5

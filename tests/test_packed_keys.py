@@ -70,7 +70,9 @@ def test_eval_past_the_limit_exits_two_at_once(capsys, tmp_path):
     assert main(["eval", "a^32767", "--ring", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "a^32767"
     start = time.perf_counter()
-    assert main(["eval", "a^32768", "--ring", str(path)]) == 2
+    assert main(["eval", "a^32768", "--ring", str(path)]) == 2  # refused by the parser, as over any ring
+    assert "exponent 32768 is past 32767" in capsys.readouterr().err
+    assert main(["eval", "a^32767*a", "--ring", str(path)]) == 2  # refused by the ring's guard bits
     assert time.perf_counter() - start < 1.0
     assert "exponent of a reaches 32768" in capsys.readouterr().err
 
