@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalars import IDENTIFIER, MAX_EXPONENT, PolyQuotientRing
+from .scalars import IDENTIFIER, MAX_EXPONENT, PolyQuotientRing, _digit_limit, digit_limit_error
 from .superring import SuperElement, SuperRing
 
 _TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER})|([+\-*^()/]))")
@@ -37,6 +37,21 @@ def _tokenize(text):
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _check_body_power(body, exp: int):
+    """``DomainError`` if ``body ** exp`` cannot be printed, for a rational body, before it is formed.
+
+    The body of a power is the power of the body.  A numerator or denominator
+    ``m`` of D digits is at least ``10**(D-1)``, so ``m**exp`` has more than
+    ``exp*(D-1)`` digits: past the digit limit when that reaches it.  So a
+    power whose body prints is never refused.
+    """
+    limit = _digit_limit()
+    if type(body) is Fraction and limit:
+        digits = len(str(max(abs(body.numerator), body.denominator)))
+        if exp * (digits - 1) >= limit:
+            raise digit_limit_error("a coefficient")
 
 
 class _Parser:
@@ -107,6 +122,7 @@ class _Parser:
                     raise DomainError(f"exponent {exp} is past {MAX_EXPONENT}, the largest a power takes")
                 for c in result.terms.values():  # a coefficient past the digit limit raises at once: no chain runs away
                     self.ring.coeff.to_str(c)
+                _check_body_power(result.terms.get(0), exp)
                 result = result ** exp
             else:
                 return result

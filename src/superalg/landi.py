@@ -10,6 +10,8 @@ exactly, so ``p[i][j] = psi_i** * psi_j`` is a self-adjoint idempotent and
 
 Each bra entry is built from one coefficient monomial (:func:`make_bra`),
 and its ket ``|psi>`` is involuted once per bra (:attr:`BraVector.ket`).
+:func:`make_bra` builds one bra per ``(n, ring)`` per process and shares it,
+with its ket and its projector, each built once: do not mutate them.
 The projector forms each row of ``p`` in one sum-of-products pass, and
 ``inner`` and ``pi_apply`` form ``<psi|psi>``, ``<psi|v>`` and the column
 ``|psi> <psi|v>`` in one pass each (:meth:`SuperRing.sums_of_products`).
@@ -23,7 +25,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError
-from .scalars import PolyQuotientRing, RadicalGaussianRing, Relation, canonical, interned
+from .scalars import PolyQuotientRing, RadicalGaussianRing, Relation, canonical, factory_key, interned, shared
 from .supermodule import FreeType, ModElement, SuperMorphism
 from .superring import Involution, SuperElement, SuperRing
 
@@ -67,25 +69,36 @@ class BraVector:
     def projector(self) -> SuperMorphism:
         """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n), from :attr:`ket`.
 
-        Each row is one sum-of-products pass (:meth:`SuperRing.sums_of_products`).
+        Built on the first call, one object per bra: do not mutate it.  Each
+        row is one sum-of-products pass (:meth:`SuperRing.sums_of_products`).
         """
+        return self._projector
+
+    @cached_property
+    def _projector(self) -> SuperMorphism:
         sums = self.ring.sums_of_products
         matrix = [sums([((ki, psij),) for psij in self.entries]) for ki in self.ket]
         return SuperMorphism(self.ring, self.ftype, self.ftype, matrix)
 
 
 def make_bra(n: int, ring: SuperRing = None) -> BraVector:
-    """The bra ``psi_n``, each entry built from one coefficient monomial.
+    """The bra ``psi_n``, each entry built from one coefficient monomial, one object per ``(n, ring)``.
 
     Even entry k is ``(1 - eta*etad/8) * sqrt(binom(n, k)) * ad**(n-k) * bd**k``,
     one element product each; odd entry j is ``etad`` times the monomial
     ``sqrt(binom(n-1, j))/2 * ad**(n-1-j) * bd**j``, built with no product.
-    With the correction's ``eta*etad`` that is n+2 element products in all.
+    With the correction's ``eta*etad`` that is n+2 element products in all,
+    made on the first call per ``(n, ring)`` in a process; a call that raises
+    stores nothing.  The bra is shared: do not mutate it.
     ``DomainError`` if the ring lacks ``ad``, ``bd``, ``eta`` or ``etad``.
     """
     if n < 1:
         raise DomainError("the projector level must be at least 1")
     ring = ring or make_uosp_ring()
+    return shared(factory_key(_make_bra, n, ring), lambda: _make_bra(n, ring))
+
+
+def _make_bra(n: int, ring: SuperRing) -> BraVector:
     coeff = ring.coeff
     base, names = coeff.base, coeff.variables
     for name in ("ad", "bd"):
@@ -123,7 +136,10 @@ def ket_entries(bra: BraVector) -> tuple:
 
 
 def projector_p(n: int, ring: SuperRing = None) -> SuperMorphism:
-    """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n): ``make_bra(n, ring).projector()``."""
+    """The morphism with ``p[i][j] = psi_i** * psi_j`` on the free type (n+1 | n): ``make_bra(n, ring).projector()``.
+
+    One object per ``(n, ring)`` per process, shared: do not mutate it.
+    """
     return make_bra(n, ring).projector()
 
 

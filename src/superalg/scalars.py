@@ -668,8 +668,9 @@ class Relation:
     tuple); a square is the pair of one name, so ``("x0", "x0")`` rewrites
     ``x0**2``.  ``rhs`` is a value of the ring without the relation, polynomial
     text such as ``"1 - y^2"`` or a list of JSON terms, which
-    :class:`PolyQuotientRing` reads in that ring.  It must not mention the
-    head variables, which makes the rewrite terminating and confluent.
+    :class:`PolyQuotientRing` reads in that ring; any other ``rhs`` raises
+    ``DomainError``.  It must not mention the head variables, which makes the
+    rewrite terminating and confluent.
     """
 
     heads: tuple  # (u, v)
@@ -678,6 +679,16 @@ class Relation:
     def __post_init__(self):
         if isinstance(self.heads, list):  # not any iterable: tuple("xy") would split a string
             object.__setattr__(self, "heads", tuple(self.heads))
+        rhs = self.rhs
+        if isinstance(rhs, dict):  # a ring value: (packed exponents, radicand) keys
+            ok = all(type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int for key in rhs)
+        else:
+            ok = isinstance(rhs, (str, list))
+        if not ok:
+            raise DomainError(
+                "a relation right-hand side must be polynomial text, a list of JSON terms or a ring value "
+                f"keyed by (packed exponents, radicand) pairs, not this {type(rhs).__name__}"
+            )
 
 
 EXPONENT_BITS = 16  # the width of one variable's field in a packed exponent key
@@ -1050,11 +1061,11 @@ def json_count(data, what: str) -> int:
     return data
 
 
-INTERN_LIMIT = 256  # entries of the table; a perfbench cli cycle stores 54: 50 rings, 4 sphere projector bundles
+INTERN_LIMIT = 256  # entries of the table; a perfbench cli cycle stores 56: 50 rings, 4 sphere projector bundles, 2 bras
 _JSON_KEY_NODES = 1 << 16  # a descriptor with more values, or a cyclic one, is built uncached
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 _MISSING = object()
-_rings = {}  # intern key or descriptor -> ring, or key -> shared object (a sphere projector bundle), oldest first
+_rings = {}  # intern key or descriptor -> ring, or key -> shared object (a sphere projector bundle, a bra), oldest first
 
 
 def _remember(key, ring):

@@ -36,6 +36,7 @@ FLAT = "tests/test_flat_products.py"
 ONE_PASS = "tests/test_one_pass_maps.py"
 INTERNING = "tests/test_ring_interning.py"
 RELATION = "tests/test_relation_forms.py"
+LANDI = "tests/test_landi.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -242,7 +243,7 @@ MUTANTS = [
         "superalg/landi.py",
         "exps[ad], exps[bd] = m - k, k",
         "exps[ad], exps[bd] = k, m - k",
-        ["tests/test_landi.py::test_bra_entries_are_the_chained_products[2]"],
+        [f"{LANDI}::test_bra_entries_are_the_chained_products[2]"],
     ),
     (
         "gaussian-real-path-for-imaginary-right",
@@ -316,6 +317,20 @@ MUTANTS = [
         [f"{INTERNING}::test_a_sphere_projector_that_fails_stores_nothing"],
     ),
     (
+        "bra-key-drops-ring",
+        "superalg/landi.py",
+        "factory_key(_make_bra, n, ring)",
+        "factory_key(_make_bra, n)",
+        [f"{LANDI}::test_one_bra_and_projector_per_level_and_ring"],
+    ),
+    (
+        "projector-built-per-call",
+        "superalg/landi.py",
+        "    @cached_property\n    def _projector",
+        "    @property\n    def _projector",
+        [f"{LANDI}::test_one_bra_and_projector_per_level_and_ring"],
+    ),
+    (
         "relation-rhs-object-accepted",
         "superalg/scalars.py",
         'if not isinstance(rel["rhs"], (str, list)):  # a JSON object would pass unread, as a ring value',
@@ -335,6 +350,13 @@ MUTANTS = [
         "                self.relation = Relation(heads, rhs)\n",
         "",
         [f"{RELATION}::test_text_terms_and_value_give_one_ring[trig]"],
+    ),
+    (
+        "relation-rhs-python-object-accepted",
+        "superalg/scalars.py",
+        "        if not ok:\n",
+        "        if False:\n",
+        [f"{RELATION}::test_a_python_rhs_that_is_no_ring_value_is_refused[int]"],
     ),
     (
         "power-exponent-unbounded",

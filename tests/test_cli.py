@@ -11,7 +11,7 @@ import pytest
 import superalg
 from superalg.cli import main
 from superalg.landi import projector_p
-from superalg.scalars import GaussianRationalRing
+from superalg.scalars import MAX_EXPONENT, GaussianRationalRing
 from superalg.spheres import make_sphere_projector
 from superalg.supermodule import FreeType, SuperMorphism
 from superalg.superring import grassmann_ring
@@ -546,3 +546,25 @@ def test_chained_power_past_the_digit_limit_exits_two_at_once(capsys, grassmann_
     assert (code, out) == (2, "")
     assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit in this Python")
+def test_a_power_whose_body_cannot_print_exits_two_before_it_is_formed(capsys, grassmann_ring_file):
+    """``(71/227)^927`` has a denominator of 2,185 digits, so its 32,767th power (71.6 million) is never formed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "(71/227)^927^32767", "--ring", grassmann_ring_file)
+    assert (code, out) == (2, "")
+    assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT <= MAX_EXPONENT, reason="no integer digit limit below the largest exponent")
+@pytest.mark.parametrize("base", ["10", "-1/10"])
+def test_a_power_whose_body_prints_is_formed(capsys, grassmann_ring_file, base):
+    """``10^(DIGIT_LIMIT-1)`` has DIGIT_LIMIT digits, the most that print: formed; one power more exits 2."""
+    code, out, err = run(capsys, "eval", f"({base})^{DIGIT_LIMIT - 1}", "--ring", grassmann_ring_file)
+    assert (code, err) == (0, "")
+    assert out.split("/")[-1] == "1" + "0" * (DIGIT_LIMIT - 1) + "\n"
+    code, out, err = run(capsys, "eval", f"({base})^{DIGIT_LIMIT}", "--ring", grassmann_ring_file)
+    assert (code, out) == (2, "")
+    assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"

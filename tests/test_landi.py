@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import superalg.scalars as scalars
 from superalg.errors import DomainError
 from superalg.landi import (
     inner,
@@ -16,6 +17,7 @@ from superalg.landi import (
 from superalg.spheres import sphere_ring
 from superalg.suites import random_element
 from superalg.supermodule import FreeType, ModElement
+from superalg.superring import SuperRing
 
 
 RING = make_uosp_ring()
@@ -97,14 +99,42 @@ def test_bra_entries_are_the_chained_products(n):
     assert [e.to_json() for e in entries] == [e.to_json() for e in chained]
 
 
+def _refused_twice_storing_nothing(n, ring, message):
+    """``make_bra(n, ring)`` raises ``DomainError`` on two calls, and the shared table is unchanged."""
+    before = list(scalars._rings)
+    for _ in range(2):
+        with pytest.raises(DomainError, match=message):
+            make_bra(n, ring)
+    assert list(scalars._rings) == before
+
+
 def test_bra_over_a_ring_without_its_generators_is_refused():
-    with pytest.raises(DomainError):
-        make_bra(2, sphere_ring(2))
+    _refused_twice_storing_nothing(2, sphere_ring(2), "'ad' is not an even generator")
 
 
 def test_level_bound():
-    with pytest.raises(DomainError):
-        make_bra(0, RING)
+    _refused_twice_storing_nothing(0, RING, "at least 1")
+    _refused_twice_storing_nothing(0, None, "at least 1")
+
+
+def test_one_bra_and_projector_per_level_and_ring():
+    uosp = make_uosp_ring()
+    bra = make_bra(2)
+    assert make_bra(2, uosp) is bra and bra.ring is uosp
+    assert projector_p(2) is bra.projector() is projector_p(2, uosp)
+    plain = SuperRing(uosp.coeff, ("eta", "etad"))  # uosp's generators with no involution: another ring
+    assert make_bra(2, plain).ring is plain
+    assert make_bra(2, plain) is not bra and make_bra(2) is bra
+    assert make_bra(1) is not bra
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_shared_projector_is_still_checked_on_every_call(n):
+    for _ in range(2):
+        p = projector_p(n)
+        assert p.compose(p) == p
+        assert p.super_adjoint() == p
+        assert p.is_idempotent()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -156,12 +186,14 @@ def test_pi_shape_check():
 def test_pi_apply_involutes_the_ket_once_per_bra(monkeypatch):
     import superalg.landi as landi
 
+    monkeypatch.setattr(scalars, "_rings", {})  # so the bra is built here, whatever ran before
+    ring = make_uosp_ring()
     calls = []
     original = landi.ket_entries
     monkeypatch.setattr(landi, "ket_entries", lambda bra: calls.append(bra) or original(bra))
-    bra = make_bra(2)
+    bra = make_bra(2, ring)
     rng = random.Random(3)
-    v = ModElement(RING, bra.ftype, [random_element(rng, RING) for _ in range(bra.ftype.size)])
+    v = ModElement(ring, bra.ftype, [random_element(rng, ring) for _ in range(bra.ftype.size)])
     for _ in range(4):
         v = pi_apply(bra, v)
     assert len(calls) == 1

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import superalg.scalars as scalars
 import superalg.superring as superring
-from superalg.landi import inner, make_bra, pi_apply, projector_p
+from superalg.landi import inner, make_bra, make_uosp_ring, pi_apply, projector_p
 from superalg.scalars import IntegerModRing, RationalRing
 from superalg.spheres import z6_ring
 from superalg.suites import featured_rings, random_element, random_homogeneous
@@ -119,9 +119,11 @@ def test_degree_of_the_projector_is_the_definition():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_bra_involutes_each_entry_once(n, monkeypatch):
+    monkeypatch.setattr(scalars, "_rings", {})  # so the bra is built here, whatever ran before
+    ring = make_uosp_ring()
     calls, original = [], SuperElement.involute
     monkeypatch.setattr(SuperElement, "involute", lambda x: calls.append(x) or original(x))
-    bra = make_bra(n)
+    bra = make_bra(n, ring)
     assert inner(bra) == bra.ring.one()
     p = bra.projector()
     v = ModElement(bra.ring, bra.ftype, bra.ket)

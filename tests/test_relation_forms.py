@@ -69,6 +69,13 @@ def test_a_text_rhs_naming_an_unknown_variable_is_a_parse_error():
         PolyQuotientRing(RationalRing(), ("x", "y"), Relation(("x", "x"), "1 - z^2"))
 
 
+@pytest.mark.parametrize("rhs", [5, {"ab": 1}, {(1, 2, 3): 1}, None], ids=["int", "text-key", "triple-key", "none"])
+def test_a_python_rhs_that_is_no_ring_value_is_refused(rhs):
+    """An rhs that is not text, a list of terms or a dict of ``(packed exponents, radicand)`` keys is a ``DomainError``."""
+    with pytest.raises(DomainError, match="a relation right-hand side must be"):
+        PolyQuotientRing(RationalRing(), ("x",), Relation(("x", "x"), rhs))
+
+
 @pytest.mark.parametrize("rhs", [{}, {"exps": {"x1": 2}, "c": "1"}, {"ab": "1"}], ids=["empty", "term", "two-letter"])
 def test_a_descriptor_rhs_that_is_a_json_object_exits_two(capsys, tmp_path, rhs):
     """An object is no list of terms; read as it stands it would be a ring value (``{}`` is zero) unchecked."""
@@ -102,8 +109,10 @@ def test_an_exponent_past_the_limit_is_refused_before_the_power():
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit in this Python")
 def test_a_power_of_a_base_past_the_digit_limit_is_refused_before_it_is_formed():
-    """``(71/227)^2000`` has a denominator of 4,712 digits, which no text can hold: its cube is never formed."""
+    """``(71/227)^1000`` has a denominator of 2,357 digits, and its square in ``b1*b2``'s coefficient 4,713,
+    which no text can hold: its cube is never formed."""
     ring = grassmann_ring(3)
-    parse_element("(71/227)^1000^2", ring)  # 4,712 digits, formed: only a power's base is checked
+    soul = "b1*b2*(71/227)^1000*(71/227)^1000"
+    parse_element(soul, ring)  # formed by a product: only a power's base is checked
     with pytest.raises(DomainError, match="a coefficient has more than"):
-        parse_element("(71/227)^2000^3", ring)
+        parse_element(f"({soul})^3", ring)

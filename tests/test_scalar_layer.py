@@ -363,7 +363,10 @@ def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
 
 
 def test_bra_and_projector_make_a_pinned_number_of_element_products(monkeypatch):
-    """Each bra entry is one coefficient monomial, and the projector forms its rows in sums of products."""
+    """Each bra entry is one coefficient monomial, the projector forms its rows in sums of products,
+    and ``projector_p`` reuses the shared bra."""
+    monkeypatch.setattr(scalars, "_rings", {})  # so the bra is built here, whatever ran before
+    ring = make_uosp_ring()
     calls = Counter()
     element_product = SuperElement.__mul__
 
@@ -372,14 +375,15 @@ def test_bra_and_projector_make_a_pinned_number_of_element_products(monkeypatch)
         return element_product(x, y)
 
     monkeypatch.setattr(SuperElement, "__mul__", counting)
-    make_bra(2)
+    make_bra(2, ring)
     # eta*etad for the correction, then the correction times each of the 3 even entries;
     # chains of products and powers made 18.
     assert calls["mul"] == 4
     calls.clear()
-    projector_p(2)
-    # The bra's 4 and none for the 5x5 entries, where a product per entry made 43 in all.
-    assert calls["mul"] == 4
+    projector_p(2, ring)
+    # None: the bra is shared, and the 5x5 entries, where a product per entry made 43 in all
+    # with the bra's, are sums of products.
+    assert calls["mul"] == 0
 
 
 def test_projector_squares_make_a_pinned_number_of_radicand_products(monkeypatch):
