@@ -40,7 +40,7 @@ def _tokenize(text):
 
 
 def _check_body_power(body, exp: int):
-    """``DomainError`` if ``body ** exp`` cannot be printed, for a rational body, before it is formed.
+    """``DomainError`` if ``body ** exp`` cannot be printed, for an integer or rational body, before it is formed.
 
     The body of a power is the power of the body.  A numerator or denominator
     ``m`` of D digits is at least ``10**(D-1)``, so ``m**exp`` has more than
@@ -48,7 +48,7 @@ def _check_body_power(body, exp: int):
     power whose body prints is never refused.
     """
     limit = _digit_limit()
-    if type(body) is Fraction and limit:
+    if type(body) in (int, Fraction) and limit:
         digits = len(str(max(abs(body.numerator), body.denominator)))
         if exp * (digits - 1) >= limit:
             raise digit_limit_error("a coefficient")

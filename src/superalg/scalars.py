@@ -668,9 +668,9 @@ class Relation:
     tuple); a square is the pair of one name, so ``("x0", "x0")`` rewrites
     ``x0**2``.  ``rhs`` is a value of the ring without the relation, polynomial
     text such as ``"1 - y^2"`` or a list of JSON terms, which
-    :class:`PolyQuotientRing` reads in that ring; any other ``rhs`` raises
-    ``DomainError``.  It must not mention the head variables, which makes the
-    rewrite terminating and confluent.
+    :class:`PolyQuotientRing` reads in that ring; it refuses any other ``rhs``
+    with ``DomainError``.  It must not mention the head variables, which makes
+    the rewrite terminating and confluent.
     """
 
     heads: tuple  # (u, v)
@@ -679,16 +679,6 @@ class Relation:
     def __post_init__(self):
         if isinstance(self.heads, list):  # not any iterable: tuple("xy") would split a string
             object.__setattr__(self, "heads", tuple(self.heads))
-        rhs = self.rhs
-        if isinstance(rhs, dict):  # a ring value: (packed exponents, radicand) keys
-            ok = all(type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int for key in rhs)
-        else:
-            ok = isinstance(rhs, (str, list))
-        if not ok:
-            raise DomainError(
-                "a relation right-hand side must be polynomial text, a list of JSON terms or a ring value "
-                f"keyed by (packed exponents, radicand) pairs, not this {type(rhs).__name__}"
-            )
 
 
 EXPONENT_BITS = 16  # the width of one variable's field in a packed exponent key
@@ -746,6 +736,13 @@ class PolyQuotientRing(CoeffRing):
                 plain = PolyQuotientRing(base, self.variables)
                 rhs = parse_polynomial(rhs, plain) if isinstance(rhs, str) else plain.value_from_json(rhs)
                 self.relation = Relation(heads, rhs)
+            elif not isinstance(rhs, dict) or not all(  # a ring value has (packed exponents, radicand) keys
+                type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int for key in rhs
+            ):
+                raise DomainError(
+                    "a relation right-hand side must be polynomial text, a list of JSON terms or a ring value "
+                    f"keyed by (packed exponents, radicand) pairs, not this {type(rhs).__name__}"
+                )
             self._heads = tuple(self._var_pos[h] for h in heads)
             self._head_shifts = tuple(EXPONENT_BITS * i for i in self._heads)
             self._head_step = sum(1 << shift for shift in self._head_shifts)  # one of each head

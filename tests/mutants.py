@@ -354,8 +354,8 @@ MUTANTS = [
     (
         "relation-rhs-python-object-accepted",
         "superalg/scalars.py",
-        "        if not ok:\n",
-        "        if False:\n",
+        "            elif not isinstance(rhs, dict) or not all(",
+        "            elif False and all(",
         [f"{RELATION}::test_a_python_rhs_that_is_no_ring_value_is_refused[int]"],
     ),
     (
@@ -371,6 +371,13 @@ MUTANTS = [
         "                    self.ring.coeff.to_str(c)\n",
         "                    pass\n",
         [f"{RELATION}::test_a_power_of_a_base_past_the_digit_limit_is_refused_before_it_is_formed"],
+    ),
+    (
+        "power-body-integer-unchecked",
+        "superalg/expressions.py",
+        "    if type(body) in (int, Fraction) and limit:",
+        "    if type(body) is Fraction and limit:",
+        ["tests/test_cli.py::test_a_power_whose_body_cannot_print_exits_two_though_the_value_prints[difference]"],
     ),
 ]
 

@@ -549,10 +549,12 @@ def test_chained_power_past_the_digit_limit_exits_two_at_once(capsys, grassmann_
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit in this Python")
-def test_a_power_whose_body_cannot_print_exits_two_before_it_is_formed(capsys, grassmann_ring_file):
-    """``(71/227)^927`` has a denominator of 2,185 digits, so its 32,767th power (71.6 million) is never formed."""
+@pytest.mark.parametrize("text", ["(71/227)^927^32767", "9^1000^32767"], ids=["rational", "integer"])
+def test_a_power_whose_body_cannot_print_exits_two_before_it_is_formed(capsys, grassmann_ring_file, text):
+    """``(71/227)^927`` has a denominator of 2,185 digits and ``9^1000`` 955 digits, so their 32,767th
+    powers (71.6 and 31.3 million digits) are never formed."""
     start = time.perf_counter()
-    code, out, err = run(capsys, "eval", "(71/227)^927^32767", "--ring", grassmann_ring_file)
+    code, out, err = run(capsys, "eval", text, "--ring", grassmann_ring_file)
     assert (code, out) == (2, "")
     assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
     assert time.perf_counter() - start < 1
@@ -566,5 +568,14 @@ def test_a_power_whose_body_prints_is_formed(capsys, grassmann_ring_file, base):
     assert (code, err) == (0, "")
     assert out.split("/")[-1] == "1" + "0" * (DIGIT_LIMIT - 1) + "\n"
     code, out, err = run(capsys, "eval", f"({base})^{DIGIT_LIMIT}", "--ring", grassmann_ring_file)
+    assert (code, out) == (2, "")
+    assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT <= MAX_EXPONENT, reason="no integer digit limit below the largest exponent")
+@pytest.mark.parametrize("text", ["10^{L} - 10^{L}", "0*10^{L}"], ids=["difference", "zero-times"])
+def test_a_power_whose_body_cannot_print_exits_two_though_the_value_prints(capsys, grassmann_ring_file, text):
+    """Each power is read as it is formed: ``10^DIGIT_LIMIT`` exits 2 though the expression's value, 0, prints."""
+    code, out, err = run(capsys, "eval", text.format(L=DIGIT_LIMIT), "--ring", grassmann_ring_file)
     assert (code, out) == (2, "")
     assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
