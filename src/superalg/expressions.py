@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalars import IDENTIFIER, MAX_EXPONENT, PolyQuotientRing, _digit_limit, digit_limit_error
+from .scalars import IDENTIFIER, MAX_EXPONENT, GaussianRational, PolyQuotientRing, _digit_limit, digit_limit_error
 from .superring import SuperElement, SuperRing
 
 _TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER})|([+\-*^()/]))")
@@ -39,19 +39,34 @@ def _tokenize(text):
     return tokens
 
 
-def _check_body_power(body, exp: int):
-    """``DomainError`` if ``body ** exp`` cannot be printed, for an integer or rational body, before it is formed.
+def _check_body_power(coeff, body, exp: int):
+    """``DomainError`` if ``body ** exp``, the body of a power, could not be printed: checked before it is formed.
 
-    The body of a power is the power of the body.  A numerator or denominator
-    ``m`` of D digits is at least ``10**(D-1)``, so ``m**exp`` has more than
-    ``exp*(D-1)`` digits: past the digit limit when that reaches it.  So a
-    power whose body prints is never refused.
+    An integer ``m`` of D digits is at least ``10**(D-1)``, so ``m**exp`` has
+    more than ``exp*(D-1)`` digits: a rational body's power is past the digit
+    limit when that reaches it.  A Gaussian ``(a + b*i)/d`` with ``b`` nonzero
+    prints as two reduced fractions, and only a power of 2, at most
+    ``2**(exp/2)``, cancels from its power's ``(a, b, d)``; so the square of
+    the largest printed integer is at least ``M**exp / 2**((exp+1)/2)``, M the
+    largest of ``|a|``, ``|b|`` and ``d``, and the rule there is ``exp*(D-2)``
+    against twice the limit.  A constant quotient value of one term without a
+    radical is read through its scalar.  So a power that prints is never refused.
     """
     limit = _digit_limit()
-    if type(body) in (int, Fraction) and limit:
-        digits = len(str(max(abs(body.numerator), body.denominator)))
-        if exp * (digits - 1) >= limit:
-            raise digit_limit_error("a coefficient")
+    while isinstance(coeff, PolyQuotientRing) and body and list(body) == [(0, 1)]:
+        coeff, body = coeff.base.term_scalars, body[(0, 1)]
+    if type(body) is GaussianRational:  # two printed fractions, or one, a/d, when b is 0
+        parts, fractions = (body.a, body.b, body.d), 2 if body.b else 1
+    elif type(body) in (int, Fraction):
+        parts, fractions = (body.numerator, body.denominator), 1
+    else:
+        return
+    try:
+        digits = len(str(max(map(abs, parts))))
+    except ValueError:  # a Gaussian's two fractions can print while its common denominator cannot
+        digits = limit + 1
+    if limit and exp * (digits - fractions) >= fractions * limit:
+        raise digit_limit_error("a coefficient")
 
 
 class _Parser:
@@ -122,7 +137,7 @@ class _Parser:
                     raise DomainError(f"exponent {exp} is past {MAX_EXPONENT}, the largest a power takes")
                 for c in result.terms.values():  # a coefficient past the digit limit raises at once: no chain runs away
                     self.ring.coeff.to_str(c)
-                _check_body_power(result.terms.get(0), exp)
+                _check_body_power(self.ring.coeff, result.terms.get(0), exp)
                 result = result ** exp
             else:
                 return result

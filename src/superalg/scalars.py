@@ -1058,11 +1058,13 @@ def json_count(data, what: str) -> int:
     return data
 
 
-INTERN_LIMIT = 256  # entries of the table; a perfbench cli cycle stores 56: 50 rings, 4 sphere projector bundles, 2 bras
+# Entries of the table; a perfbench cli cycle stores 63: 50 rings, 4 sphere projector bundles, 2 bras, 7 samplers.
+INTERN_LIMIT = 256
 _JSON_KEY_NODES = 1 << 16  # a descriptor with more values, or a cyclic one, is built uncached
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 _MISSING = object()
-_rings = {}  # intern key or descriptor -> ring, or key -> shared object (a sphere projector bundle, a bra), oldest first
+# Intern key or descriptor -> ring, or key -> shared object (a sphere projector bundle, a bra, a sampler), oldest first.
+_rings = {}
 
 
 def _remember(key, ring):

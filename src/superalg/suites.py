@@ -1,7 +1,9 @@
 """Named verification suites behind the ``verify`` CLI subcommand.
 
 Every suite returns a :class:`SuiteReport` whose clauses cover one documented
-identity each; randomized suites are deterministic for a fixed seed.
+identity each; randomized suites are deterministic for a fixed seed.  Trials
+are drawn from ``getrandbits`` exactly as ``random.Random`` draws them, so a
+seed reproduces the same trials as in earlier versions, on CPython 3.10-3.12.
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import reduce
 
 from .errors import DomainError
 from .landi import inner, make_bra, make_uosp_ring, pi_apply
 from .reports import SuiteReport, residual_witness
-from .scalars import IntegerModRing, collect
+from .scalars import IntegerModRing, collect, factory_key, shared
 from .spheres import make_sphere_projector, sphere_ring, stably_free_certificate, z6_example, z6_ring
 from .supermodule import (
     FreeType,
@@ -50,38 +51,96 @@ PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
 
 
 # -- random element generation --------------------------------------------------
+# Every draw is ``_below(rng.getrandbits, n)``, the draw under ``random.Random``'s
+# ``randint``, ``choice`` and ``sample``, taken without their argument checks.
+
+
+def _below(bits, n: int) -> int:
+    """A uniform integer in ``0..n-1`` from ``bits = rng.getrandbits``, as ``Random._randbelow_with_getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample_mask(bits, n: int, k: int) -> int:
+    """The bitmask of ``rng.sample(range(n), k)``: the same draws, pool or set as ``sample`` picks."""
+    setsize = 21  # sample's own rule: a pool of n, unless a set of k is smaller
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    mask = 0
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = _below(bits, n - i)
+            mask |= 1 << pool[j]
+            pool[j] = pool[n - i - 1]
+    else:
+        for _ in range(k):
+            j = _below(bits, n)
+            while mask >> j & 1:
+                j = _below(bits, n)
+            mask |= 1 << j
+    return mask
+
+
+def _fraction_draw(numerators: range, denominators: range, build):
+    """``draw(bits)``: ``build(Fraction(randint(...), randint(...)))`` over the two ranges.
+
+    Each of the values is built on its first draw and kept, so a fraction
+    ``build`` refuses still raises only when it is drawn.
+    """
+    cols = len(denominators)
+    values = [None] * (len(numerators) * cols)
+
+    def draw(bits):
+        i = _below(bits, len(numerators))
+        j = _below(bits, cols)
+        key = i * cols + j
+        value = values[key]
+        if value is None:
+            value = values[key] = build(Fraction(numerators[i], denominators[j]))
+        return value
+
+    return draw
 
 
 def _coeff_sampler(ring: SuperRing):
+    """``draw(bits)``: a random coefficient of ``ring``, drawn from ``bits = rng.getrandbits``.
+
+    Only immutable scalars are kept between draws: a quotient value, a dict,
+    is built afresh on each.
+    """
     coeff = ring.coeff
     if isinstance(coeff, IntegerModRing):
-        return lambda rng: coeff.from_int(rng.randrange(coeff.n))
+        return lambda bits: coeff.from_int(_below(bits, coeff.n))
     if coeff.variables:
+        scalar = _fraction_draw(range(-4, 5), range(1, 4), coeff.base.from_fraction)
+        count = len(coeff.variables)
 
-        def term(rng):
-            c = coeff.base.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-            exps = [0] * len(coeff.variables)
-            for _ in range(rng.randint(0, 2)):
-                exps[coeff.variables.index(rng.choice(coeff.variables))] += 1
+        def term(bits):
+            c = scalar(bits)
+            exps = [0] * count
+            for _ in range(_below(bits, 3)):
+                exps[_below(bits, count)] += 1
             return coeff.monomial(exps, c)
 
-        return lambda rng: reduce(coeff.add, [term(rng) for _ in range(rng.randint(1, 2))])
-    return lambda rng: coeff.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        return lambda bits: coeff.add(term(bits), term(bits)) if _below(bits, 2) else term(bits)
+    return _fraction_draw(range(-6, 7), range(1, 5), coeff.from_fraction)
 
 
 def random_homogeneous(rng: random.Random, ring: SuperRing, parity: int) -> SuperElement:
     """A random homogeneous element of the given parity (may be zero)."""
-    sample = _coeff_sampler(ring)
+    draw = shared(factory_key(_coeff_sampler, ring), lambda: _coeff_sampler(ring))
     L = ring.odd_count
     if parity == 1 and L == 0:
         return ring.zero()
+    bits = rng.getrandbits
+    sizes = (L - parity) // 2 + 1  # len(range(parity, L + 1, 2)), the sizes of a term
     terms = []
-    for _ in range(rng.randint(1, 3)):
-        k = rng.choice([k for k in range(parity, L + 1, 2)])
-        bits = 0
-        for i in rng.sample(range(L), k):
-            bits |= 1 << i
-        terms.append((bits, sample(rng)))
+    for _ in range(1 + _below(bits, 3)):
+        terms.append((_sample_mask(bits, L, parity + 2 * _below(bits, sizes)), draw(bits)))
     return SuperElement(ring, collect(ring.coeff, terms))
 
 

@@ -12,6 +12,7 @@ Every sign of moving a coefficient past a graded factor is :func:`_koszul`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ParityError, RingMismatchError, ShapeError
@@ -119,15 +120,19 @@ class SuperMorphism:
         return other._like(other.source, self.target, rows)
 
     def __add__(self, other):
+        return self._entrywise(operator.add, other)
+
+    def __sub__(self, other):
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other):
+        """The morphism of entries ``op(a, b)``, ``a`` from ``self`` and ``b`` from ``other``."""
         if (self.source, self.target) != (other.source, other.target):
             raise ShapeError("morphism addition shape mismatch")
         return self._like(
             self.source, self.target,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)],
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)],
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return self._like(self.source, self.target, [[-a for a in row] for row in self.matrix])

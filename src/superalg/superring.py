@@ -423,7 +423,10 @@ class SuperElement:
         return SuperElement(self.ring, {b: coeff.neg(c) for b, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self.ring._own(other)
+        neg = self.ring.coeff.neg
+        terms = chain(self.terms.items(), ((b, neg(c)) for b, c in other.terms.items()))
+        return SuperElement(self.ring, collect(self.ring.coeff, terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

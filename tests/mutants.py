@@ -37,6 +37,7 @@ ONE_PASS = "tests/test_one_pass_maps.py"
 INTERNING = "tests/test_ring_interning.py"
 RELATION = "tests/test_relation_forms.py"
 LANDI = "tests/test_landi.py"
+DRAWS = "tests/test_draws.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -375,9 +376,30 @@ MUTANTS = [
     (
         "power-body-integer-unchecked",
         "superalg/expressions.py",
-        "    if type(body) in (int, Fraction) and limit:",
-        "    if type(body) is Fraction and limit:",
+        "    elif type(body) in (int, Fraction):",
+        "    elif type(body) is Fraction:",
         ["tests/test_cli.py::test_a_power_whose_body_cannot_print_exits_two_though_the_value_prints[difference]"],
+    ),
+    (
+        "gaussian-power-rule-as-rational",
+        "superalg/expressions.py",
+        "parts, fractions = (body.a, body.b, body.d), 2 if body.b else 1",
+        "parts, fractions = (body.a, body.b, body.d), 1",
+        ["tests/test_cli.py::test_a_gaussian_power_that_prints_is_formed"],
+    ),
+    (
+        "below-keeps-n",
+        "superalg/suites.py",
+        "    while r >= n:",
+        "    while r > n:",
+        [f"{DRAWS}::test_draws_equal_the_reference_and_consume_the_stream_alike[0-grassmann-6]"],
+    ),
+    (
+        "draw-memo-keyed-on-numerator",
+        "superalg/suites.py",
+        "key = i * cols + j",
+        "key = i",
+        [f"{DRAWS}::test_draws_equal_the_reference_and_consume_the_stream_alike[0-grassmann-6]"],
     ),
 ]
 

@@ -10,7 +10,7 @@ import pytest
 
 import superalg
 from superalg.cli import main
-from superalg.landi import projector_p
+from superalg.landi import make_uosp_ring, projector_p
 from superalg.scalars import MAX_EXPONENT, GaussianRationalRing
 from superalg.spheres import make_sphere_projector
 from superalg.supermodule import FreeType, SuperMorphism
@@ -548,16 +548,40 @@ def test_chained_power_past_the_digit_limit_exits_two_at_once(capsys, grassmann_
     assert time.perf_counter() - start < 5
 
 
+GAUSSIAN_RING = {"coeffs": {"kind": "gaussian_rational"}, "odd_generators": ["b1"]}
+
+
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit in this Python")
-@pytest.mark.parametrize("text", ["(71/227)^927^32767", "9^1000^32767"], ids=["rational", "integer"])
-def test_a_power_whose_body_cannot_print_exits_two_before_it_is_formed(capsys, grassmann_ring_file, text):
+@pytest.mark.parametrize("text, ring", [
+    ("(71/227)^927^32767", grassmann_ring(2).to_json()),
+    ("9^1000^32767", grassmann_ring(2).to_json()),
+    ("(71/227)^927^32767", make_uosp_ring().to_json()),
+    ("(71/227)^927^32767", GAUSSIAN_RING),
+    ("(71/227 + 1/3*i)^927^32767", GAUSSIAN_RING),
+], ids=["rational", "integer", "quotient", "gaussian", "gaussian-complex"])
+def test_a_power_whose_body_cannot_print_exits_two_before_it_is_formed(capsys, tmp_path, text, ring):
     """``(71/227)^927`` has a denominator of 2,185 digits and ``9^1000`` 955 digits, so their 32,767th
-    powers (71.6 and 31.3 million digits) are never formed."""
+    powers (71.6 and 31.3 million digits) are never formed: over the rationals, as the constant of a
+    quotient ring and as a Gaussian rational."""
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring))
     start = time.perf_counter()
-    code, out, err = run(capsys, "eval", text, "--ring", grassmann_ring_file)
+    code, out, err = run(capsys, "eval", text, "--ring", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: a coefficient has more than {DIGIT_LIMIT} digits, the most Python converts to or from text\n"
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.skipif(not 45 < DIGIT_LIMIT <= MAX_EXPONENT, reason="no integer digit limit below the largest exponent")
+def test_a_gaussian_power_that_prints_is_formed(capsys, tmp_path):
+    """``((1 + 127i)/128)^e`` sheds ``2^(e/2)`` from its denominator, so at ``e = (DIGIT_LIMIT+1)//2`` its
+    largest integer has about 0.98 DIGIT_LIMIT digits and prints, though ``e*(D-1)``, D = 3 the digits of 128,
+    reaches the limit: the rational rule would refuse it."""
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(GAUSSIAN_RING))
+    code, out, err = run(capsys, "eval", f"(1/128 + 127/128*i)^{(DIGIT_LIMIT + 1) // 2}", "--ring", str(path))
+    assert (code, err) == (0, "")
+    assert 0.9 * DIGIT_LIMIT < max(len(part) for part in re.findall("[0-9]+", out)) <= DIGIT_LIMIT
 
 
 @pytest.mark.skipif(not 0 < DIGIT_LIMIT <= MAX_EXPONENT, reason="no integer digit limit below the largest exponent")

@@ -39,6 +39,14 @@ COEFF_FACTORIES = [
 ]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def own_ring_table():
+    """These tests start from an empty table, so no entry they look up was dropped as oldest by earlier tests."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalars, "_rings", {})
+        yield
+
+
 def fresh(build):
     """``build()`` over an empty intern table, so that every ring it makes is new; the table is kept."""
     with pytest.MonkeyPatch.context() as patch:
