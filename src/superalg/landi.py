@@ -10,8 +10,8 @@ exactly, so ``p[i][j] = psi_i** * psi_j`` is a self-adjoint idempotent and
 
 Each bra entry is built from one coefficient monomial (:func:`make_bra`),
 and its ket ``|psi>`` is involuted once per bra (:attr:`BraVector.ket`).
-:func:`make_bra` builds one bra per ``(n, ring)`` per process and shares it,
-with its ket and its projector, each built once: do not mutate them.
+:func:`make_bra` keeps one bra per ``(n, ring)`` on the ring object and shares
+it, with its ket and its projector, each built once: do not mutate them.
 The projector forms each row of ``p`` in one sum-of-products pass, and
 ``inner`` and ``pi_apply`` form ``<psi|psi>``, ``<psi|v>`` and the column
 ``|psi> <psi|v>`` in one pass each (:meth:`SuperRing.sums_of_products`).
@@ -95,7 +95,7 @@ def make_bra(n: int, ring: SuperRing = None) -> BraVector:
     if n < 1:
         raise DomainError("the projector level must be at least 1")
     ring = ring or make_uosp_ring()
-    return shared(factory_key(_make_bra, n, ring), lambda: _make_bra(n, ring))
+    return shared(ring, factory_key(_make_bra, n), lambda: _make_bra(n, ring))
 
 
 def _make_bra(n: int, ring: SuperRing) -> BraVector:

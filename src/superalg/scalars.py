@@ -52,14 +52,13 @@ Rings are interned per descriptor (:func:`interned`):
 :func:`coeff_ring_from_json`, ``SuperRing.from_json`` and the ring factories
 (``sphere_ring``, ``make_uosp_ring``, ``grassmann_ring`` and the rest) build
 and check a descriptor's ring once per process and return that object to
-every later call, from one table of at most :data:`INTERN_LIMIT` entries.  A
-shared ring must not be mutated beyond its pure caches -- ``_identity_text``
-and a quotient ring's ``_rhs_powers`` and ``_rename_plans``, which hold the
-same values whoever fills them.  A descriptor that raises stores nothing,
-and a direct ``PolyQuotientRing(...)`` or ``SuperRing(...)`` call builds a
-new ring that no one shares.  :func:`shared` keeps other built-and-checked
-objects in the same table, stored as they are: ``make_sphere_projector``'s
-bundles.
+every later call, from one table of rings that a miss empties whole once it
+holds :data:`INTERN_LIMIT` keys.  A shared ring must not be mutated beyond
+its pure caches -- ``_identity_text`` and a quotient ring's ``_rhs_powers``
+and ``_rename_plans``.  A descriptor that raises stores nothing, and a
+direct ``PolyQuotientRing(...)`` or ``SuperRing(...)`` call builds a new,
+unshared ring.  :func:`shared` keeps bras, sphere bundles and samplers on
+the ``SuperRing`` object they are built over, where they live and die.
 """
 
 from __future__ import annotations
@@ -1058,21 +1057,12 @@ def json_count(data, what: str) -> int:
     return data
 
 
-# Entries of the table; a perfbench cli cycle stores 63: 50 rings, 4 sphere projector bundles, 2 bras, 7 samplers.
+# Keys at which a miss empties the table; a perfbench cli cycle stores 50 (and 13 bundles, bras, samplers on rings).
 INTERN_LIMIT = 256
 _JSON_KEY_NODES = 1 << 16  # a descriptor with more values, or a cyclic one, is built uncached
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
-_MISSING = object()
-# Intern key or descriptor -> ring, or key -> shared object (a sphere projector bundle, a bra, a sampler), oldest first.
-_rings = {}
-
-
-def _remember(key, ring):
-    """Store ``ring`` under ``key``, dropping the oldest entry when the table holds :data:`INTERN_LIMIT`."""
-    if len(_rings) >= INTERN_LIMIT:
-        del _rings[next(iter(_rings))]
-    _rings[key] = ring
-    return ring
+_rings = {}  # intern key or descriptor -> ring
+_building = 0  # how many interned builds are running, one inside another
 
 
 def canonical(ring):
@@ -1085,36 +1075,44 @@ def canonical(ring):
         descriptor = ring._identity()
     except (DomainError, ValueError):
         return ring
-    return _rings.get(descriptor) or _remember(descriptor, ring)
-
-
-def shared(key, build, store=_remember):
-    """The object stored under ``key``; on a miss ``store(key, build())``, by default stored as it is.
-
-    A ``build`` that raises stores nothing, and the next call raises again.  A
-    key of ``None``, or one that does not hash, is built on every call and not stored.
-    """
-    if key is None:
-        return build()
-    try:
-        found = _rings.get(key, _MISSING)
-    except (TypeError, ValueError, DomainError):  # an argument that does not hash, or a ring with no descriptor
-        return build()
-    if found is _MISSING:
-        found = store(key, build())
-    return found
-
-
-def _remember_canonical(key, ring):
-    return _remember(key, canonical(ring))
+    return _rings.setdefault(descriptor, ring)
 
 
 def interned(key, build):
     """The ring stored under ``key``; on a miss ``build()``, made :func:`canonical` and stored under ``key``.
 
-    So every key whose ring has one descriptor gives one object; otherwise as :func:`shared`.
+    So every key of one descriptor gives one object.  A miss from outside any
+    build first empties a table of :data:`INTERN_LIMIT` keys, so a ring is
+    stored with the rings it was built over.  A ``build`` that raises stores
+    nothing; a key of ``None``, or one that does not hash, is built on every
+    call and not stored.
     """
-    return shared(key, build, _remember_canonical)
+    global _building
+    if key is None:
+        return build()
+    try:
+        found = _rings.get(key)
+    except (TypeError, ValueError, DomainError):  # an argument that does not hash, or a ring with no descriptor
+        return build()
+    if found is None:
+        if not _building and len(_rings) >= INTERN_LIMIT:
+            _rings.clear()
+        _building += 1
+        try:
+            found = canonical(build())
+        finally:
+            _building -= 1
+        _rings[key] = found
+    return found
+
+
+def shared(ring, key, build):
+    """The object kept on the ``SuperRing`` ``ring`` under ``key``; on a miss ``build()``, kept once it returns.
+
+    It lives and dies with ``ring``, out of the table; a ``build`` that raises keeps nothing.
+    """
+    found = ring._shared.get(key)
+    return found if found is not None else ring._shared.setdefault(key, build())
 
 
 def factory_key(factory, *args):

@@ -6,8 +6,8 @@ The sphere projector lives over the quotient ring
 its kernel is the stably free tangent module.
 
 :func:`make_sphere_projector` builds and checks one bundle per ``(n, ring)``
-per process and shares it; its ``g`` keeps the ``g∘g - g`` residual of those
-checks.  A shared bundle must not be mutated.
+per process and keeps it on the ring object; its ``g`` keeps the ``g∘g - g``
+residual of those checks.  A shared bundle must not be mutated.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class SphereProjectorBundle:
 def make_sphere_projector(n: int, base: CoeffRing = None, odd_names=()) -> SphereProjectorBundle:
     """The projector ``g(s_i) = sum_j xi xj s_j``, its invariants verified, one bundle per ``(n, ring)``.
 
-    The bundle is keyed on the shared :func:`sphere_ring`, so arguments that
+    The bundle is kept on the shared :func:`sphere_ring`, so arguments that
     name one ring find one bundle.  The checks run on the first call per key
     in a process; a call that raises stores nothing.  The bundle is shared:
     do not mutate it.
@@ -62,7 +62,7 @@ def make_sphere_projector(n: int, base: CoeffRing = None, odd_names=()) -> Spher
     if n < 1:
         raise DomainError("sphere dimension index must be at least 1")
     ring = sphere_ring(n, base, odd_names)
-    return shared(factory_key(make_sphere_projector, n, ring), lambda: _sphere_projector(n, ring))
+    return shared(ring, factory_key(make_sphere_projector, n), lambda: _sphere_projector(n, ring))
 
 
 def _sphere_projector(n: int, ring: SuperRing) -> SphereProjectorBundle:

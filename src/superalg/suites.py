@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .landi import inner, make_bra, make_uosp_ring, pi_apply
 from .reports import SuiteReport, residual_witness
-from .scalars import IntegerModRing, collect, factory_key, shared
+from .scalars import IntegerModRing, collect, shared
 from .spheres import make_sphere_projector, sphere_ring, stably_free_certificate, z6_example, z6_ring
 from .supermodule import (
     FreeType,
@@ -131,8 +131,8 @@ def _coeff_sampler(ring: SuperRing):
 
 
 def random_homogeneous(rng: random.Random, ring: SuperRing, parity: int) -> SuperElement:
-    """A random homogeneous element of the given parity (may be zero)."""
-    draw = shared(factory_key(_coeff_sampler, ring), lambda: _coeff_sampler(ring))
+    """A random homogeneous element of the given parity (may be zero), from the sampler kept on ``ring``."""
+    draw = shared(ring, _coeff_sampler, lambda: _coeff_sampler(ring))
     L = ring.odd_count
     if parity == 1 and L == 0:
         return ring.zero()

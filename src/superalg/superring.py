@@ -77,6 +77,7 @@ from .scalars import (
     CoeffRing,
     PolyQuotientRing,
     RationalRing,
+    canonical,
     coeff_ring_from_json,
     collect,
     factory_key,
@@ -145,6 +146,7 @@ class SuperRing:
         self.odd_names = odd_names
         self._odd_pos = {name: i for i, name in enumerate(odd_names)}
         self.involution = involution
+        self._shared = {}  # the bras, sphere bundles and samplers built over this ring (scalars.shared)
         self._odd_images, self._even_images = None, {}
         if involution is not None:
             self._compile_involution(involution)
@@ -393,7 +395,7 @@ def grassmann_ring(L: int, coeff: CoeffRing = None) -> SuperRing:
     """The Grassmann algebra on ``L`` odd generators over ``coeff``, one object per ``(L, coeff)``."""
     return interned(
         factory_key(grassmann_ring, L, coeff),
-        lambda: SuperRing(coeff or RationalRing(), tuple(f"b{i}" for i in range(1, L + 1))),
+        lambda: SuperRing(canonical(coeff or RationalRing()), tuple(f"b{i}" for i in range(1, L + 1))),
     )
 
 

@@ -291,37 +291,57 @@ MUTANTS = [
     (
         "entry-stored-before-build",
         "superalg/scalars.py",
-        "        found = store(key, build())\n",
-        "        _remember(key, None)  # reserved while the object is built\n        found = store(key, build())\n",
+        "        _building += 1\n",
+        "        _rings[key] = key  # reserved while the ring is built\n        _building += 1\n",
         [f"{INTERNING}::test_a_malformed_descriptor_raises_on_every_call"],
+    ),
+    (
+        "table-drops-one-key",
+        "superalg/scalars.py",
+        "            _rings.clear()\n",
+        "            del _rings[next(iter(_rings))]\n",
+        [f"{INTERNING}::test_a_flood_of_descriptors_leaves_the_table_consistent"],
+    ),
+    (
+        "table-emptied-mid-build",
+        "superalg/scalars.py",
+        "if not _building and len(_rings) >= INTERN_LIMIT:",
+        "if len(_rings) >= INTERN_LIMIT:",
+        [f"{INTERNING}::test_a_flood_of_descriptors_leaves_the_table_consistent"],
+    ),
+    (
+        "ring-over-an-unstored-coefficient-ring",
+        "superalg/superring.py",
+        "SuperRing(canonical(coeff or RationalRing()),",
+        "SuperRing(coeff or RationalRing(),",
+        [f"{INTERNING}::test_a_ring_built_over_a_given_coefficient_ring_stores_it_too"],
     ),
     (
         "bundle-key-drops-ring",
         "superalg/spheres.py",
-        "factory_key(make_sphere_projector, n, ring)",
-        "factory_key(make_sphere_projector, n)",
+        "shared(ring, factory_key(make_sphere_projector, n),",
+        "shared(sphere_ring(n), factory_key(make_sphere_projector, n),",
         [f"{INTERNING}::test_one_sphere_projector_bundle_per_descriptor"],
     ),
     (
         "bundle-key-drops-types",
         "superalg/spheres.py",
-        "factory_key(make_sphere_projector, n, ring)",
-        "(make_sphere_projector, n, ring)",
+        "factory_key(make_sphere_projector, n)",
+        "(make_sphere_projector, n)",
         [f"{INTERNING}::test_one_sphere_projector_bundle_per_descriptor"],
     ),
     (
         "bundle-stored-before-checks",
         "superalg/spheres.py",
         "    bundle = SphereProjectorBundle(n, ring, g, alpha)\n",
-        "    from .scalars import _remember\n"
-        "    bundle = _remember(factory_key(make_sphere_projector, n, ring), SphereProjectorBundle(n, ring, g, alpha))\n",
+        "    bundle = ring._shared[factory_key(make_sphere_projector, n)] = SphereProjectorBundle(n, ring, g, alpha)\n",
         [f"{INTERNING}::test_a_sphere_projector_that_fails_stores_nothing"],
     ),
     (
         "bra-key-drops-ring",
         "superalg/landi.py",
-        "factory_key(_make_bra, n, ring)",
-        "factory_key(_make_bra, n)",
+        "shared(ring, factory_key(_make_bra, n),",
+        "shared(make_uosp_ring(), factory_key(_make_bra, n),",
         [f"{LANDI}::test_one_bra_and_projector_per_level_and_ring"],
     ),
     (

@@ -16,7 +16,6 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import superalg.scalars as scalars
 from superalg.cli import main
 from superalg.landi import make_uosp_ring, projector_p
 from superalg.spheres import make_sphere_projector, sphere_ring
@@ -75,12 +74,8 @@ def assert_clean(argv):
     assert "Traceback" not in err, (argv, err)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def own_ring_table():
-    """Each corrupted descriptor is a ring of its own: they fill a table of their own, and other tests keep theirs."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scalars, "_rings", {})
-        yield
+# Each corrupted descriptor is a ring of its own: they fill a table of their own, and other tests keep theirs.
+pytestmark = pytest.mark.usefixtures("fresh_ring_table")
 
 
 @pytest.fixture(scope="module")

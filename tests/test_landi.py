@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import superalg.scalars as scalars
 from superalg.errors import DomainError
 from superalg.landi import (
     inner,
@@ -100,12 +99,13 @@ def test_bra_entries_are_the_chained_products(n):
 
 
 def _refused_twice_storing_nothing(n, ring, message):
-    """``make_bra(n, ring)`` raises ``DomainError`` on two calls, and the shared table is unchanged."""
-    before = list(scalars._rings)
+    """``make_bra(n, ring)`` raises ``DomainError`` on two calls, and keeps nothing on the ring (uosp's for ``None``)."""
+    kept_on = (ring or make_uosp_ring())._shared
+    before = dict(kept_on)
     for _ in range(2):
         with pytest.raises(DomainError, match=message):
             make_bra(n, ring)
-    assert list(scalars._rings) == before
+    assert kept_on == before
 
 
 def test_bra_over_a_ring_without_its_generators_is_refused():
@@ -183,10 +183,9 @@ def test_pi_shape_check():
         pi_apply(bra, wrong)
 
 
-def test_pi_apply_involutes_the_ket_once_per_bra(monkeypatch):
+def test_pi_apply_involutes_the_ket_once_per_bra(monkeypatch, fresh_ring_table):  # so the bra is built here
     import superalg.landi as landi
 
-    monkeypatch.setattr(scalars, "_rings", {})  # so the bra is built here, whatever ran before
     ring = make_uosp_ring()
     calls = []
     original = landi.ket_entries

@@ -118,8 +118,7 @@ def test_degree_of_the_projector_is_the_definition():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_one_bra_involutes_each_entry_once(n, monkeypatch):
-    monkeypatch.setattr(scalars, "_rings", {})  # so the bra is built here, whatever ran before
+def test_one_bra_involutes_each_entry_once(n, monkeypatch, fresh_ring_table):  # so the bra is built here
     ring = make_uosp_ring()
     calls, original = [], SuperElement.involute
     monkeypatch.setattr(SuperElement, "involute", lambda x: calls.append(x) or original(x))

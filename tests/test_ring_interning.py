@@ -17,8 +17,8 @@ import superalg.scalars as scalars
 from superalg.cli import main
 from superalg.errors import DomainError
 from superalg.landi import make_uosp_ring, projector_p
-from superalg.scalars import IntegerModRing, PolyQuotientRing, RationalRing, coeff_ring_from_json
-from superalg.spheres import SphereProjectorBundle, make_sphere_projector, sphere_coeff_ring, sphere_ring, z6_ring
+from superalg.scalars import CoeffRing, IntegerModRing, PolyQuotientRing, RationalRing, coeff_ring_from_json
+from superalg.spheres import make_sphere_projector, sphere_coeff_ring, sphere_ring, z6_ring
 from superalg.suites import random_element
 from superalg.superanalysis import trig_coeff_ring, trig_super_ring
 from superalg.supermodule import SuperMorphism, split_idempotent
@@ -39,19 +39,13 @@ COEFF_FACTORIES = [
 ]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def own_ring_table():
-    """These tests start from an empty table, so no entry they look up was dropped as oldest by earlier tests."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scalars, "_rings", {})
-        yield
+pytestmark = pytest.mark.usefixtures("fresh_ring_table")  # each test starts from an empty table
 
 
 def fresh(build):
-    """``build()`` over an empty intern table, so that every ring it makes is new; the table is kept."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scalars, "_rings", {})
-        return build()
+    """``build()`` after the table is emptied, as a full one is, so that every ring it makes is new."""
+    scalars._rings.clear()
+    return build()
 
 
 def round_trip(data):
@@ -114,7 +108,6 @@ def test_a_shared_bundle_equals_a_new_one():
 
 
 def test_a_sphere_projector_that_fails_stores_nothing(monkeypatch):
-    monkeypatch.setattr(scalars, "_rings", {})
     for _ in range(2):
         with pytest.raises(DomainError, match="at least 1"):
             make_sphere_projector(0)
@@ -123,7 +116,7 @@ def test_a_sphere_projector_that_fails_stores_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(DomainError, match="idempotence"):
             make_sphere_projector(1)
-    assert not any(isinstance(found, SphereProjectorBundle) for found in scalars._rings.values())
+    assert sphere_ring(1)._shared == {}  # the ring was built and kept; no bundle is kept on it
 
 
 @pytest.mark.skipif(not scalars._digit_limit(), reason="no integer digit limit in this Python")
@@ -275,12 +268,74 @@ def test_a_ring_whose_descriptor_cannot_be_written_still_builds(capsys, tmp_path
 
 
 def test_the_table_keeps_at_most_its_limit(monkeypatch):
-    monkeypatch.setattr(scalars, "_rings", {})
     monkeypatch.setattr(scalars, "INTERN_LIMIT", 8)
     rings = [sphere_ring(1, odd_names=(f"e{i}",)) for i in range(20)]
     assert len(scalars._rings) <= 8
     assert sphere_ring(1, odd_names=("e0",)) == rings[0]
     assert sphere_ring(1, odd_names=("e19",)) is rings[19]
+
+
+def _modulus(n):
+    return {"kind": "integer_mod", "n": n}
+
+
+def _two_reads(n):
+    """A ring over ``Z/n`` whose build reads a second descriptor after the first is stored, as a nested build may."""
+
+    def build():
+        coeff = coeff_ring_from_json(_modulus(n))
+        coeff_ring_from_json(_modulus(n + 1))
+        return SuperRing(coeff, ("e",))
+
+    return scalars.interned(("two-reads", n), build)
+
+
+def _assert_consistent():
+    """The table holds rings only, one object per descriptor, and a stored ring's stored coefficient ring is its own."""
+    table = scalars._rings
+    for ring in table.values():
+        assert isinstance(ring, (CoeffRing, SuperRing))
+        assert table.get(ring._identity()) is ring
+        if isinstance(ring, SuperRing):
+            assert table.get(ring.coeff._identity(), ring.coeff) is ring.coeff
+
+
+def test_a_flood_of_descriptors_leaves_the_table_consistent():
+    """Past ``INTERN_LIMIT`` the table empties whole, never inside a build, so no key outlives its ring or parts."""
+    uosp, uosp_coeffs = round_trip(make_uosp_ring().to_json()), round_trip(make_uosp_ring().coeff.to_json())
+    between = [
+        make_uosp_ring,
+        lambda: sphere_ring(2),
+        lambda: SuperRing.from_json(uosp),
+        lambda: coeff_ring_from_json(uosp_coeffs),
+        lambda: trig_super_ring(2),
+    ]
+    emptied = 0
+    for step in range(3 * scalars.INTERN_LIMIT):
+        size = len(scalars._rings)
+        coeff_ring_from_json(_modulus(1000 + step))
+        if step % 3 == 0:
+            between[step // 3 % len(between)]()
+        ring = _two_reads(10**6 + 2 * step)
+        assert coeff_ring_from_json(_modulus(10**6 + 2 * step)) is ring.coeff
+        emptied += len(scalars._rings) < size
+        _assert_consistent()
+        assert make_uosp_ring() is make_uosp_ring()
+        assert trig_super_ring(2).coeff is trig_coeff_ring()
+    assert emptied >= 3
+    assert make_uosp_ring().coeff is coeff_ring_from_json(uosp_coeffs)
+
+
+def test_a_ring_built_over_a_given_coefficient_ring_stores_it_too():
+    """The table empties as ``grassmann_ring`` misses, after its coefficient ring was looked up: the two stay one."""
+    trig = trig_coeff_ring()
+    step = 0
+    while len(scalars._rings) < scalars.INTERN_LIMIT:
+        coeff_ring_from_json(_modulus(2 + step))
+        step += 1
+    ring = trig_super_ring(2)
+    assert ring.coeff is trig and trig_coeff_ring() is trig and trig_super_ring(2) is ring
+    assert len(scalars._rings) < scalars.INTERN_LIMIT  # the miss emptied the table
 
 
 def _count_constructions(monkeypatch, cls, counts):

@@ -362,10 +362,9 @@ def test_projector_square_makes_a_pinned_number_of_sparse_sums(monkeypatch):
     assert 0 < calls["gaussian"] <= 480
 
 
-def test_bra_and_projector_make_a_pinned_number_of_element_products(monkeypatch):
+def test_bra_and_projector_make_a_pinned_number_of_element_products(monkeypatch, fresh_ring_table):
     """Each bra entry is one coefficient monomial, the projector forms its rows in sums of products,
-    and ``projector_p`` reuses the shared bra."""
-    monkeypatch.setattr(scalars, "_rings", {})  # so the bra is built here, whatever ran before
+    and ``projector_p`` reuses the shared bra.  The table starts empty, so the bra is built here."""
     ring = make_uosp_ring()
     calls = Counter()
     element_product = SuperElement.__mul__

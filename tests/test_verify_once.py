@@ -6,7 +6,6 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-import superalg.scalars as scalars
 from superalg import cli
 from superalg.spheres import make_sphere_projector, stably_free_certificate, z6_ring
 from superalg.supermodule import FreeType, SuperMorphism, split_idempotent
@@ -30,8 +29,7 @@ def self_composes(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_sphere_certificate_composes_g_once(self_composes, monkeypatch, n):
-    monkeypatch.setattr(scalars, "_rings", {})  # so the bundle is built here, whatever ran before
+def test_sphere_certificate_composes_g_once(self_composes, fresh_ring_table, n):  # so the bundle is built here
     report = stably_free_certificate(make_sphere_projector(n))
     assert report.passed
     assert len(self_composes) == 1  # the construction check; the certificate reuses its residual
