@@ -3,6 +3,9 @@
 Grammar: ``+ - * ^``, rational literals ``p/q``, generator names taken from
 the ring descriptor, parentheses, unary minus.  Whitespace-insensitive.
 Parse errors carry the character position.
+
+A power is read as it is formed, by one rule for every coefficient kind
+(:func:`_power`); the other products of an expression are not bounded.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .scalars import IDENTIFIER, MAX_EXPONENT, GaussianRational, PolyQuotientRing, _digit_limit, digit_limit_error
+from .scalars import IDENTIFIER, MAX_EXPONENT, PolyQuotientRing
 from .superring import SuperElement, SuperRing
 
 _TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER})|([+\-*^()/]))")
@@ -39,34 +42,33 @@ def _tokenize(text):
     return tokens
 
 
-def _check_body_power(coeff, body, exp: int):
-    """``DomainError`` if ``body ** exp``, the body of a power, could not be printed: checked before it is formed.
+PRODUCT_BUDGET = 2 * 10**8  # the most printed characters times printed characters a power multiplies at once
 
-    An integer ``m`` of D digits is at least ``10**(D-1)``, so ``m**exp`` has
-    more than ``exp*(D-1)`` digits: a rational body's power is past the digit
-    limit when that reaches it.  A Gaussian ``(a + b*i)/d`` with ``b`` nonzero
-    prints as two reduced fractions, and only a power of 2, at most
-    ``2**(exp/2)``, cancels from its power's ``(a, b, d)``; so the square of
-    the largest printed integer is at least ``M**exp / 2**((exp+1)/2)``, M the
-    largest of ``|a|``, ``|b|`` and ``d``, and the rule there is ``exp*(D-2)``
-    against twice the limit.  A constant quotient value of one term without a
-    radical is read through its scalar.  So a power that prints is never refused.
+
+def _power(x: SuperElement, exp: int) -> SuperElement:
+    """``x ** exp`` by left-to-right square-and-multiply, the checked twin of :meth:`SuperElement.__pow__`.
+
+    ``x``, each partial power (``x`` to a prefix of ``exp``'s bits) and the
+    finished power must print, and no product may multiply its factors'
+    printed lengths past :data:`PRODUCT_BUDGET`: ``DomainError`` otherwise.
     """
-    limit = _digit_limit()
-    while isinstance(coeff, PolyQuotientRing) and body and list(body) == [(0, 1)]:
-        coeff, body = coeff.base.term_scalars, body[(0, 1)]
-    if type(body) is GaussianRational:  # two printed fractions, or one, a/d, when b is 0
-        parts, fractions = (body.a, body.b, body.d), 2 if body.b else 1
-    elif type(body) in (int, Fraction):
-        parts, fractions = (body.numerator, body.denominator), 1
-    else:
-        return
-    try:
-        digits = len(str(max(map(abs, parts))))
-    except ValueError:  # a Gaussian's two fractions can print while its common denominator cannot
-        digits = limit + 1
-    if limit and exp * (digits - fractions) >= fractions * limit:
-        raise digit_limit_error("a coefficient")
+    to_str = x.ring.coeff.to_str
+
+    def printed(y):  # its coefficients' characters; DomainError for one past the digit limit
+        return sum(len(to_str(c)) for c in y.terms.values())
+
+    width = printed(x)
+    if not exp:
+        return x.ring.one()
+    result = x
+    for step in bin(exp)[3:].replace("1", "01"):  # each bit after the leading one squares; a 1 then multiplies by x
+        size = printed(result)
+        factor, factor_size = (x, width) if step == "1" else (result, size)
+        if size * factor_size > PRODUCT_BUDGET:
+            raise DomainError(f"a power would multiply {size} printed characters by {factor_size}, past {PRODUCT_BUDGET}")
+        result = result * factor
+    printed(result)
+    return result
 
 
 class _Parser:
@@ -135,10 +137,7 @@ class _Parser:
                     raise ParseError("exponent must be a nonnegative integer", pos)
                 if exp > MAX_EXPONENT:
                     raise DomainError(f"exponent {exp} is past {MAX_EXPONENT}, the largest a power takes")
-                for c in result.terms.values():  # a coefficient past the digit limit raises at once: no chain runs away
-                    self.ring.coeff.to_str(c)
-                _check_body_power(self.ring.coeff, result.terms.get(0), exp)
-                result = result ** exp
+                result = _power(result, exp)
             else:
                 return result
 

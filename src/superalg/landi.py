@@ -37,7 +37,7 @@ def make_uosp_ring() -> SuperRing:
 
 def _uosp_ring() -> SuperRing:
     relation = Relation(("a", "ad"), "1 - b*bd")
-    coeff = canonical(PolyQuotientRing(RadicalGaussianRing(), ("a", "ad", "b", "bd"), relation))
+    coeff = canonical(PolyQuotientRing(canonical(RadicalGaussianRing()), ("a", "ad", "b", "bd"), relation))
     involution = Involution(
         even_pairs=[("a", "ad"), ("b", "bd")],
         odd_pairs=[("eta", "etad")],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .reports import SuiteReport
-from .scalars import CoeffRing, IntegerModRing, PolyQuotientRing, RationalRing, Relation, factory_key, interned, shared
+from .scalars import CoeffRing, IntegerModRing, PolyQuotientRing, RationalRing, Relation, canonical, factory_key, interned, shared
 from .supermodule import FreeType, ModElement, SuperMorphism, split_idempotent
 from .superring import SuperRing
 
@@ -27,7 +27,7 @@ def sphere_coeff_ring(n: int, base: CoeffRing = None) -> PolyQuotientRing:
     relation = Relation(("x0", "x0"), "1" + "".join(f" - x{i}^2" for i in range(1, n + 1)))
     return interned(
         factory_key(sphere_coeff_ring, n, base),
-        lambda: PolyQuotientRing(base or RationalRing(), [f"x{i}" for i in range(n + 1)], relation),
+        lambda: PolyQuotientRing(canonical(base or RationalRing()), [f"x{i}" for i in range(n + 1)], relation),
     )
 
 
@@ -118,7 +118,7 @@ def stably_free_certificate(bundle: SphereProjectorBundle) -> SuiteReport:
 
 def z6_ring() -> SuperRing:
     """``Z6[xi1, xi2]`` with two odd generators, one object per process."""
-    return interned((z6_ring,), lambda: SuperRing(IntegerModRing(6), ("xi1", "xi2")))
+    return interned((z6_ring,), lambda: SuperRing(canonical(IntegerModRing(6)), ("xi1", "xi2")))
 
 
 def _all_z6_elements(ring: SuperRing):

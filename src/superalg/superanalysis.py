@@ -22,7 +22,7 @@ from itertools import chain
 
 from . import multiindex as mi
 from .errors import DomainError, ParityError
-from .scalars import PolyQuotientRing, RationalRing, Relation, collect, interned
+from .scalars import PolyQuotientRing, RationalRing, Relation, canonical, collect, interned
 from .superring import SuperElement, SuperRing, grassmann_ring
 
 
@@ -221,7 +221,7 @@ def eval_g_infinity(fn: SuperSmoothFn, point: SuperPoint) -> SuperElement:
 def trig_coeff_ring() -> PolyQuotientRing:
     """``Q[S, C]`` with ``S^2 = 1 - C^2``, one object per process."""
     relation = Relation(("S", "S"), "1 - C^2")
-    return interned((trig_coeff_ring,), lambda: PolyQuotientRing(RationalRing(), ("S", "C"), relation))
+    return interned((trig_coeff_ring,), lambda: PolyQuotientRing(canonical(RationalRing()), ("S", "C"), relation))
 
 
 def trig_super_ring(L: int) -> SuperRing:

@@ -38,6 +38,7 @@ INTERNING = "tests/test_ring_interning.py"
 RELATION = "tests/test_relation_forms.py"
 LANDI = "tests/test_landi.py"
 DRAWS = "tests/test_draws.py"
+POWER = "tests/test_power_rule.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -307,7 +308,10 @@ MUTANTS = [
         "superalg/scalars.py",
         "if not _building and len(_rings) >= INTERN_LIMIT:",
         "if len(_rings) >= INTERN_LIMIT:",
-        [f"{INTERNING}::test_a_flood_of_descriptors_leaves_the_table_consistent"],
+        [
+            f"{INTERNING}::test_a_flood_of_descriptors_leaves_the_table_consistent",
+            f"{INTERNING}::test_a_miss_inside_a_build_keeps_what_the_build_stored",
+        ],
     ),
     (
         "ring-over-an-unstored-coefficient-ring",
@@ -389,23 +393,30 @@ MUTANTS = [
     (
         "power-base-unchecked",
         "superalg/expressions.py",
-        "                    self.ring.coeff.to_str(c)\n",
-        "                    pass\n",
-        [f"{RELATION}::test_a_power_of_a_base_past_the_digit_limit_is_refused_before_it_is_formed"],
+        "    width = printed(x)\n",
+        "    width = len(x.terms)\n",
+        [f"{POWER}::test_a_base_that_cannot_print_is_refused_at_every_exponent[0]"],
     ),
     (
-        "power-body-integer-unchecked",
+        "power-partial-unprinted",
         "superalg/expressions.py",
-        "    elif type(body) in (int, Fraction):",
-        "    elif type(body) is Fraction:",
+        "        size = printed(result)\n",
+        "        size = width\n",
+        [f"{POWER}::test_a_partial_power_that_cannot_print_is_refused_though_the_finished_power_prints"],
+    ),
+    (
+        "power-finished-unprinted",
+        "superalg/expressions.py",
+        "    printed(result)\n    return result\n",
+        "    return result\n",
         ["tests/test_cli.py::test_a_power_whose_body_cannot_print_exits_two_though_the_value_prints[difference]"],
     ),
     (
-        "gaussian-power-rule-as-rational",
+        "power-budget-off",
         "superalg/expressions.py",
-        "parts, fractions = (body.a, body.b, body.d), 2 if body.b else 1",
-        "parts, fractions = (body.a, body.b, body.d), 1",
-        ["tests/test_cli.py::test_a_gaussian_power_that_prints_is_formed"],
+        "        if size * factor_size > PRODUCT_BUDGET:\n",
+        "        if False:\n",
+        [f"{POWER}::test_a_power_past_the_product_budget_exits_two_at_once[sphere]"],
     ),
     (
         "below-keeps-n",

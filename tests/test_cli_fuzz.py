@@ -1,6 +1,7 @@
 """CLI fuzz: generated expressions and corrupted JSON documents end in exit 0, 1 or 2, with no traceback.
 
-``eval`` gets token sequences over three rings; ``certify`` and ``eval
+``eval`` gets token sequences over three rings, and powers whose exponents
+run up to ``MAX_EXPONENT``, which must end in 0 or 2; ``certify`` and ``eval
 --ring`` get two morphisms and three ring descriptors with one or two
 values (a leaf, a list or an object) replaced by a hostile value.  Each
 call runs ``main`` in process with its output captured; an exception out of
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from superalg.cli import main
 from superalg.landi import make_uosp_ring, projector_p
+from superalg.scalars import MAX_EXPONENT
 from superalg.spheres import make_sphere_projector, sphere_ring
 from superalg.superring import grassmann_ring
 
@@ -103,6 +105,28 @@ def tokens(ring):
 def test_eval_of_generated_text_exits_cleanly(ring_files, label, data):
     text = " ".join(data.draw(tokens(RINGS[label]), label="tokens"))
     assert_clean(["eval", text, "--ring", str(ring_files[label])])
+
+
+def powers(ring):
+    """A sum of one to three terms ``p/q*names`` raised to one or two exponents of at most ``MAX_EXPONENT``."""
+    names = ring.coeff.variables + ring.odd_names
+    term = st.builds(
+        lambda p, q, factors: "*".join([f"{p}/{q}", *factors]),
+        st.integers(-9, 9), st.integers(1, 9), st.lists(st.sampled_from(names), max_size=2),
+    )
+    exponents = st.lists(st.one_of(st.integers(0, 64), st.integers(0, MAX_EXPONENT)), min_size=1, max_size=2)
+    return st.builds(lambda terms, exps: f"({' + '.join(terms)})" + "".join(f"^{e}" for e in exps),
+                     st.lists(term, min_size=1, max_size=3), exponents)
+
+
+@pytest.mark.parametrize("label", RINGS)
+@settings(max_examples=100, deadline=5000, derandomize=True)
+@given(data=st.data())
+def test_a_power_up_to_the_largest_exponent_ends_in_time(ring_files, label, data):
+    """A power prints its value or exits 2 within the deadline, by the digit limit or the product budget."""
+    text = data.draw(powers(RINGS[label]), label="power")
+    code, err = run_cli(["eval", text, "--ring", str(ring_files[label])])
+    assert code in (0, 2) and "Traceback" not in err, (text, code, err)
 
 
 def node_paths(data, path=()):

@@ -70,6 +70,29 @@ def test_a_factory_coefficient_ring_is_the_ring_of_its_descriptor(name, factory)
     assert coeff_ring_from_json(round_trip(ring.to_json())) is ring
 
 
+BASES = [
+    ("sphere_coeff_ring", lambda: sphere_coeff_ring(2).base),
+    ("trig_coeff_ring", lambda: trig_coeff_ring().base),
+    ("uosp-coefficients", lambda: make_uosp_ring().coeff.base),
+    ("z6_ring", lambda: z6_ring().coeff),
+]
+
+
+@pytest.mark.parametrize("name, base", BASES, ids=[name for name, _ in BASES])
+def test_a_scalar_ring_a_factory_builds_is_the_ring_of_its_descriptor(name, base):
+    """The scalar ring under a factory's ring is the stored ring of its descriptor, whichever is asked for
+    first, and again once a flood of descriptors has emptied the table."""
+    descriptor = round_trip(base().to_json())
+    assert base() is coeff_ring_from_json(descriptor)
+    for flood, factory_first in enumerate((True, False)):
+        for step in range(scalars.INTERN_LIMIT + 1):  # one table's worth of new descriptors: it empties
+            coeff_ring_from_json(_modulus(10**6 * (flood + 1) + step))
+        if factory_first:
+            assert base() is coeff_ring_from_json(descriptor)
+        else:
+            assert coeff_ring_from_json(descriptor) is base()
+
+
 def test_factory_arguments_are_normalized_and_typed():
     assert sphere_ring(2, odd_names=["e1", "e2"]) is sphere_ring(2, None, ("e1", "e2"))
     assert sphere_ring(2) is sphere_ring(2, RationalRing())  # two keys, one descriptor
@@ -260,7 +283,7 @@ def test_a_ring_whose_descriptor_cannot_be_written_still_builds(capsys, tmp_path
     ring = SuperRing.from_json({"coeffs": {"kind": "integer_mod", "n": huge}, "odd_generators": ["e"]})
     assert ring.coeff.n == huge and grassmann_ring(1, ring.coeff).odd_count == 1
     path = tmp_path / "ring.json"
-    rhs = "7^6000 - y^2"  # a coefficient of 5,071 digits
+    rhs = "7^3000*7^3000 - y^2"  # a coefficient of 5,071 digits, formed by a product: the power 7^6000 is refused
     path.write_text(json.dumps({"coeffs": {**BASE["coeffs"], "relation": {"lead": "x", "rhs": rhs}}}))
     for _ in range(2):
         assert main(["eval", "y", "--ring", str(path)]) == 0
@@ -336,6 +359,18 @@ def test_a_ring_built_over_a_given_coefficient_ring_stores_it_too():
     ring = trig_super_ring(2)
     assert ring.coeff is trig and trig_coeff_ring() is trig and trig_super_ring(2) is ring
     assert len(scalars._rings) < scalars.INTERN_LIMIT  # the miss emptied the table
+
+
+def test_a_miss_inside_a_build_keeps_what_the_build_stored():
+    """The table fills as a build reads its first descriptor; the build's second read misses but empties
+    nothing, so the first coefficient ring stays stored with the ring built over it."""
+    step = 0
+    while len(scalars._rings) < scalars.INTERN_LIMIT - 2:
+        coeff_ring_from_json(_modulus(2 + step))
+        step += 1
+    ring = _two_reads(10**6)
+    assert coeff_ring_from_json(_modulus(10**6)) is ring.coeff
+    assert len(scalars._rings) > scalars.INTERN_LIMIT  # the build's keys passed the limit
 
 
 def _count_constructions(monkeypatch, cls, counts):
