@@ -4,8 +4,11 @@ Grammar: ``+ - * ^``, rational literals ``p/q``, generator names taken from
 the ring descriptor, parentheses, unary minus.  Whitespace-insensitive.
 Parse errors carry the character position.
 
-A power is read as it is formed, by one rule for every coefficient kind
-(:func:`_power`); the other products of an expression are not bounded.
+Every product an expression forms, each ``*`` and each step of a ``^``
+(:func:`superring.power`), goes through :meth:`_Parser.product`: both
+factors must print, and the products of their printed lengths are summed
+over the expression up to :data:`PRODUCT_BUDGET`.  A power's base and its
+finished value must print too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .scalars import IDENTIFIER, MAX_EXPONENT, PolyQuotientRing
-from .superring import SuperElement, SuperRing
+from .superring import SuperElement, SuperRing, power
 
 _TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({IDENTIFIER})|([+\-*^()/]))")
 
@@ -42,33 +45,13 @@ def _tokenize(text):
     return tokens
 
 
-PRODUCT_BUDGET = 2 * 10**8  # the most printed characters times printed characters a power multiplies at once
+PRODUCT_BUDGET = 2 * 10**8  # the most printed characters times printed characters one expression's products multiply
 
 
-def _power(x: SuperElement, exp: int) -> SuperElement:
-    """``x ** exp`` by left-to-right square-and-multiply, the checked twin of :meth:`SuperElement.__pow__`.
-
-    ``x``, each partial power (``x`` to a prefix of ``exp``'s bits) and the
-    finished power must print, and no product may multiply its factors'
-    printed lengths past :data:`PRODUCT_BUDGET`: ``DomainError`` otherwise.
-    """
+def _printed(x: SuperElement) -> int:
+    """The characters of ``x``'s coefficients; ``DomainError`` for one past the digit limit."""
     to_str = x.ring.coeff.to_str
-
-    def printed(y):  # its coefficients' characters; DomainError for one past the digit limit
-        return sum(len(to_str(c)) for c in y.terms.values())
-
-    width = printed(x)
-    if not exp:
-        return x.ring.one()
-    result = x
-    for step in bin(exp)[3:].replace("1", "01"):  # each bit after the leading one squares; a 1 then multiplies by x
-        size = printed(result)
-        factor, factor_size = (x, width) if step == "1" else (result, size)
-        if size * factor_size > PRODUCT_BUDGET:
-            raise DomainError(f"a power would multiply {size} printed characters by {factor_size}, past {PRODUCT_BUDGET}")
-        result = result * factor
-    printed(result)
-    return result
+    return sum(len(to_str(c)) for c in x.terms.values())
 
 
 class _Parser:
@@ -76,6 +59,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ring = ring
+        self.spent = 0  # the sum, over the products so far, of their factors' printed lengths multiplied
 
     def peek(self):
         return self.tokens[self.i]
@@ -90,6 +74,13 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
+
+    def product(self, x: SuperElement, y: SuperElement) -> SuperElement:
+        """``x * y``; both factors must print, and the product of their printed lengths is charged to the expression."""
+        self.spent += _printed(x) * _printed(y)
+        if self.spent > PRODUCT_BUDGET:
+            raise DomainError(f"the expression's products would multiply {self.spent} printed characters, past {PRODUCT_BUDGET}")
+        return x * y
 
     def parse(self) -> SuperElement:
         result = self.expr()
@@ -115,7 +106,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = result * self.unary()
+                result = self.product(result, self.unary())
             else:
                 return result
 
@@ -137,7 +128,9 @@ class _Parser:
                     raise ParseError("exponent must be a nonnegative integer", pos)
                 if exp > MAX_EXPONENT:
                     raise DomainError(f"exponent {exp} is past {MAX_EXPONENT}, the largest a power takes")
-                result = _power(result, exp)
+                _printed(result)  # the base must print, whatever the exponent
+                result = power(result, exp, self.product)
+                _printed(result)  # and so must the finished power
             else:
                 return result
 
@@ -176,8 +169,4 @@ def parse_element(text: str, ring: SuperRing) -> SuperElement:
 def parse_polynomial(text: str, coeff_ring: PolyQuotientRing):
     """Parse a purely even polynomial over a quotient coefficient ring."""
     ring = SuperRing(coeff_ring)
-    element = parse_element(text, ring)
-    extra = {b for b in element.terms if b}
-    if extra:
-        raise DomainError("expected an even polynomial without odd generators")
-    return element.terms.get(0, coeff_ring.zero())
+    return parse_element(text, ring).terms.get(0, coeff_ring.zero())

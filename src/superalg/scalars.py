@@ -114,6 +114,11 @@ def _decimal(value) -> str:
         raise digit_limit_error("a coefficient") from None
 
 
+def grouped(text: str) -> str:
+    """Printed ``text`` as a factor: in parentheses if it is a sum, with a ``+`` or ``-`` past its first character."""
+    return f"({text})" if "+" in text[1:] or "-" in text[1:] else text
+
+
 def _parse_fraction(text) -> Fraction:
     digits = _decimal(text).strip()  # an int past the digit limit fails here, with its DomainError
     try:
@@ -622,9 +627,7 @@ class RadicalGaussianRing(CoeffRing):
         parts = []
         for s in sorted(u):
             c = u[s]
-            cs = _decimal(c)
-            if "+" in cs[1:] or "-" in cs[1:]:
-                cs = f"({cs})"
+            cs = grouped(_decimal(c))
             parts.append(cs if s == 1 else (f"sqrt({s})" if cs == "1" else f"{cs}*sqrt({s})"))
         return " + ".join(parts)
 
@@ -654,9 +657,7 @@ class RadicalGaussianRing(CoeffRing):
 
 def _coeff_str(base, c):
     s = base.to_str(c)
-    if any(op in s[1:] for op in "+-") or "sqrt" in s:
-        return f"({s})"
-    return s
+    return f"({s})" if "sqrt" in s else grouped(s)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,7 @@ ring fills only pure caches.  ``SuperRing(...)`` builds a new, unshared ring.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -81,6 +82,7 @@ from .scalars import (
     coeff_ring_from_json,
     collect,
     factory_key,
+    grouped,
     interned,
     json_count,
     json_key,
@@ -399,6 +401,22 @@ def grassmann_ring(L: int, coeff: CoeffRing = None) -> SuperRing:
     )
 
 
+def power(x: SuperElement, n: int, mul) -> SuperElement:
+    """``x ** n`` for ``n >= 0`` by left-to-right square-and-multiply; ``mul(a, b)`` forms each product.
+
+    Each bit below the top squares, and each set bit below the top then
+    multiplies by ``x``: one is never a factor.
+    """
+    if not n:
+        return x.ring.one()
+    result = x
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
+
 class SuperElement:
     """A finite sum of ``coefficient * odd-monomial`` terms in normal form.
 
@@ -509,16 +527,7 @@ class SuperElement:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative powers are not defined")
-        if not n:
-            return self.ring.one()
-        result, base = None, self
-        while True:
-            if n & 1:  # the power of the lowest set bit starts the product; one is never a factor
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base  # squared only while higher bits remain
+        return power(self, n, operator.mul)
 
     def __eq__(self, other):
         return (
@@ -612,9 +621,7 @@ class SuperElement:
             if not odd:
                 parts.append(cs)
             else:
-                if " + " in cs or (len(cs) > 1 and ("+" in cs[1:] or "-" in cs[1:])):
-                    cs = f"({cs})"
-                parts.append(odd if cs == "1" else f"{cs}*{odd}")
+                parts.append(odd if cs == "1" else f"{grouped(cs)}*{odd}")
         return " + ".join(parts)
 
     def __repr__(self):

@@ -393,30 +393,44 @@ MUTANTS = [
     (
         "power-base-unchecked",
         "superalg/expressions.py",
-        "    width = printed(x)\n",
-        "    width = len(x.terms)\n",
+        "                _printed(result)  # the base must print, whatever the exponent\n",
+        "",
         [f"{POWER}::test_a_base_that_cannot_print_is_refused_at_every_exponent[0]"],
     ),
     (
         "power-partial-unprinted",
         "superalg/expressions.py",
-        "        size = printed(result)\n",
-        "        size = width\n",
+        "self.spent += _printed(x) * ",
+        "self.spent += len(x.terms) * ",
         [f"{POWER}::test_a_partial_power_that_cannot_print_is_refused_though_the_finished_power_prints"],
     ),
     (
         "power-finished-unprinted",
         "superalg/expressions.py",
-        "    printed(result)\n    return result\n",
-        "    return result\n",
+        "                _printed(result)  # and so must the finished power\n",
+        "",
         ["tests/test_cli.py::test_a_power_whose_body_cannot_print_exits_two_though_the_value_prints[difference]"],
     ),
     (
         "power-budget-off",
         "superalg/expressions.py",
-        "        if size * factor_size > PRODUCT_BUDGET:\n",
+        "        if self.spent > PRODUCT_BUDGET:\n",
         "        if False:\n",
         [f"{POWER}::test_a_power_past_the_product_budget_exits_two_at_once[sphere]"],
+    ),
+    (
+        "star-unchecked",
+        "superalg/expressions.py",
+        "                result = self.product(result, self.unary())\n",
+        "                result = result * self.unary()\n",
+        [f"{POWER}::test_a_power_past_the_product_budget_exits_two_at_once[chain-32]"],
+    ),
+    (
+        "budget-per-product",
+        "superalg/expressions.py",
+        "self.spent += _printed(x)",
+        "self.spent = _printed(x)",
+        [f"{POWER}::test_a_power_past_the_product_budget_exits_two_at_once[sum-of-five]"],
     ),
     (
         "below-keeps-n",

@@ -1,7 +1,8 @@
 """CLI fuzz: generated expressions and corrupted JSON documents end in exit 0, 1 or 2, with no traceback.
 
 ``eval`` gets token sequences over three rings, and powers whose exponents
-run up to ``MAX_EXPONENT``, which must end in 0 or 2; ``certify`` and ``eval
+run up to ``MAX_EXPONENT`` and ``*`` chains of them, over those rings and
+``sphere_ring(3)``, which must end in 0 or 2; ``certify`` and ``eval
 --ring`` get two morphisms and three ring descriptors with one or two
 values (a leaf, a list or an object) replaced by a hostile value.  Each
 call runs ``main`` in process with its output captured; an exception out of
@@ -15,7 +16,7 @@ import json
 import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superalg.cli import main
 from superalg.landi import make_uosp_ring, projector_p
@@ -29,6 +30,7 @@ RINGS = {
     "sphere-1-odd": sphere_ring(1, odd_names=("t",)),
     "uosp": make_uosp_ring(),
 }
+CHAIN_RINGS = {**RINGS, "sphere-3": sphere_ring(3)}  # x0^32 has thousands of terms there: three of them took seconds to multiply
 DOCUMENTS = {
     **{f"ring-{label}": ring.to_json() for label, ring in RINGS.items()},
     "projector-p1": projector_p(1).to_json(),
@@ -84,7 +86,7 @@ pytestmark = pytest.mark.usefixtures("fresh_ring_table")
 def ring_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("rings")
     files = {}
-    for label, ring in RINGS.items():
+    for label, ring in CHAIN_RINGS.items():
         files[label] = folder / f"{label}.json"
         files[label].write_text(json.dumps(ring.to_json()))
     return files
@@ -125,6 +127,25 @@ def powers(ring):
 def test_a_power_up_to_the_largest_exponent_ends_in_time(ring_files, label, data):
     """A power prints its value or exits 2 within the deadline, by the digit limit or the product budget."""
     text = data.draw(powers(RINGS[label]), label="power")
+    code, err = run_cli(["eval", text, "--ring", str(ring_files[label])])
+    assert code in (0, 2) and "Traceback" not in err, (text, code, err)
+
+
+@st.composite
+def product_chains(draw):
+    """A ring's label and two to four of its :func:`powers` joined by ``*``."""
+    label = draw(st.sampled_from(sorted(CHAIN_RINGS)))
+    return label, "*".join(draw(st.lists(powers(CHAIN_RINGS[label]), min_size=2, max_size=4)))
+
+
+@settings(max_examples=100, deadline=5000, derandomize=True)
+@given(case=product_chains())
+@example(case=("sphere-3", "x0^32*x0^32*x0^32"))
+@example(case=("sphere-3", "x0^40*x0^40*x0^40"))
+def test_a_product_of_powers_ends_in_time(ring_files, case):
+    """A ``*`` chain of powers prints its value or exits 2 within the deadline: the product budget is one total for
+    the whole expression, so factors that each pass it do not add up to an unbounded product."""
+    label, text = case
     code, err = run_cli(["eval", text, "--ring", str(ring_files[label])])
     assert code in (0, 2) and "Traceback" not in err, (text, code, err)
 

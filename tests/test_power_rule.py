@@ -1,11 +1,13 @@
-"""``eval``'s power rule: a power is read as it is formed, whatever the kind of its coefficients.
+"""``eval``'s product rule: each product is read as it is formed, whatever the kind of its coefficients.
 
-``expressions._power`` forms ``x^e`` by left-to-right square-and-multiply.
-``x``, each partial power and the finished power must print, and a product
-whose factors' printed lengths multiply past ``PRODUCT_BUDGET`` is refused
-before it is formed.  The boundary test lowers Python's digit limit to 640,
-its least, so that powers reach it after a few hundred steps, and checks
-that ``eval`` refuses a power exactly when the API's value cannot print.
+``superring.power`` forms ``x^e`` by left-to-right square-and-multiply, and
+every product of an expression, each ``*`` and each step of a ``^``, goes
+through ``_Parser.product``: both factors must print, and the products of
+their printed lengths are summed over the expression and refused past
+``PRODUCT_BUDGET``.  ``x`` and the finished power must print too.  The
+boundary test lowers Python's digit limit to 640, its least, so that powers
+reach it after a few hundred steps, and checks that ``eval`` refuses a power
+exactly when the API's value cannot print.
 """
 
 import contextlib
@@ -139,29 +141,42 @@ def test_eval_refuses_a_power_exactly_when_its_value_cannot_print(low_digit_limi
 @pytest.mark.parametrize("text, ring", [
     ("x0^120", lambda: sphere_ring(3)),
     ("(71/227 + a)^927^32767", make_uosp_ring),
-], ids=["sphere", "uosp"])
+    ("x0^32*x0^32*x0^32", lambda: sphere_ring(3)),
+    ("x0^40*x0^40*x0^40", lambda: sphere_ring(3)),
+    (" + ".join(["x0^24*x0^24"] * 5), lambda: sphere_ring(3)),
+], ids=["sphere", "uosp", "chain-32", "chain-40", "sum-of-five"])
 def test_a_power_past_the_product_budget_exits_two_at_once(capsys, tmp_path, text, ring):
     """``x0^120`` over ``sphere_ring(3)`` has 39,711 terms and would take tens of seconds to form, the uosp
-    power far longer: each stops at its first product whose factors' printed lengths multiply past the budget."""
+    power far longer, the chains of three ``x0^32`` or ``x0^40`` 7.5 and 15.9 s and the sum of five about a
+    second: each stops at the product that takes the expression's total of printed lengths past the budget.
+    The budget is one total per expression: each factor of a chain, and each ``x0^24*x0^24``, is under it."""
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(ring().to_json()))
     start = time.perf_counter()
     code = main(["eval", text, "--ring", str(path)])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith("error: a power would multiply ") and err.endswith(", past 200000000\n")
+    assert err.startswith("error: the expression's products would multiply ") and err.endswith(", past 200000000\n")
     assert time.perf_counter() - start < 1
+
+
+def test_one_product_under_the_budget_is_read():
+    """``x0^48`` and ``x0^24*x0^24`` over ``sphere_ring(3)`` (about 9×10⁷ each) are read as the API forms them."""
+    ring = sphere_ring(3)
+    assert parse_element("x0^24*x0^24", ring) == parse_element("x0^48", ring) == ring.even_gen("x0") ** 48
 
 
 @pytest.mark.skipif(not _digit_limit(), reason="no integer digit limit in this Python")
 def test_a_partial_power_that_cannot_print_is_refused_though_the_finished_power_prints():
     """``x = N*b1*b2 + N*b3*b4`` with ``N = (71/227)^927`` (2,185 digits) has ``x^3 = 0``, but the partial
-    power ``x^2 = 2*N^2*b1*b2*b3*b4`` has a denominator of 4,369 digits: each power is read as it is formed."""
+    power ``x^2 = 2*N^2*b1*b2*b3*b4`` has a denominator of 4,369 digits: each power is read as it is formed,
+    and so is each factor of ``x*x*x``."""
     ring = grassmann_ring(4)
     n = "(71/227)^927"
     with pytest.raises(DomainError, match="a coefficient has more than"):
         parse_element(f"({n}*b1*b2 + {n}*b3*b4)^3", ring)
-    assert parse_element(f"({n}*b1*b2 + {n}*b3*b4)*({n}*b1*b2 + {n}*b3*b4)*({n}*b1*b2 + {n}*b3*b4)", ring).is_zero()
+    with pytest.raises(DomainError, match="a coefficient has more than"):
+        parse_element(f"({n}*b1*b2 + {n}*b3*b4)*({n}*b1*b2 + {n}*b3*b4)*({n}*b1*b2 + {n}*b3*b4)", ring)
 
 
 @pytest.mark.skipif(not _digit_limit(), reason="no integer digit limit in this Python")

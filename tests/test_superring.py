@@ -84,7 +84,7 @@ def test_powers_and_nilpotency():
 
 
 def test_power_squares_only_while_bits_remain(monkeypatch):
-    """``x ** n`` makes one squaring per bit below the top and one product per set bit past the lowest.
+    """``x ** n`` makes one squaring per bit below the top and one product per set bit below the top.
 
     So no product with one: ``x**1``, ``x**2`` and ``x**5`` make 0, 1 and 3,
     over a Grassmann ring and over a sphere (quotient) ring alike.
