@@ -16,10 +16,11 @@ ring reads as a polynomial ring in no variables over itself: no
 at most one term, with the empty exponent tuple.  ``imaginary_unit`` is
 ``None`` where the ring has no ``i``.
 
-Ring values are plain data: ``int`` or ``Fraction`` for a rational (an
-integral rational is stored as its ``int`` numerator), ``GaussianRational``,
-``int`` mod n, and two sparse dicts -- the radical value (radicand to
-Gaussian coefficient) and the quotient polynomial.  A quotient value is one
+Ring values are plain data: ``int`` or ``Fraction`` for a rational and
+``int`` or ``GaussianRational`` for a Gaussian rational (an integral
+rational and a real-integer Gaussian are stored as the ``int``), ``int``
+mod n, and two sparse dicts -- the radical value (radicand to Gaussian
+coefficient) and the quotient polynomial.  A quotient value is one
 flat dict keyed by ``(packed exponents, squarefree radicand)``, whatever its
 base: the exponent of variable ``i`` is the 16-bit field at bit ``16*i`` of
 one int, so two keys multiply by one int add, and the top bit of each field
@@ -133,11 +134,16 @@ def _parse_fraction(text) -> Fraction:
 
 
 class GaussianRational:
-    """Exact complex number ``(a + b*i)/d``, stored as three reduced integers.
+    """Exact complex number ``(a + b*i)/d``: three reduced integers, or the ``int`` ``a`` for a real integer.
 
-    ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal triples
-    and ``==``/``hash`` compare the integers.  ``re`` and ``im`` are
-    ``Fraction`` views built on demand; the arithmetic never builds one.
+    ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal triples.
+    As in :class:`RationalRing`, a real integer (``b == 0``, ``d == 1``) is
+    stored as an ``int``, so a sum or product of two runs in C: every
+    operation (``+``, ``-``, ``*``, unary ``-``, :meth:`scale`,
+    :meth:`inverse`, :meth:`conj`) returns that form and takes an ``int`` on
+    either side, and a triple built directly, such as ``GaussianRational(3)``,
+    gives the same results, equals ``3`` and hashes alike.  ``re`` and ``im``
+    are ``Fraction`` views built on demand; the arithmetic never builds one.
     """
 
     __slots__ = ("a", "b", "d")
@@ -164,7 +170,9 @@ class GaussianRational:
     # ``__add__`` and ``__mul__`` reduce inline, as ``_gaussian`` does: they are the hot path.
     def __add__(self, other):
         d = self.d
-        if d == other.d:
+        if type(other) is int:  # a + n*d keeps gcd(a, b, d) == 1
+            a, b = self.a + other * d, self.b
+        elif d == other.d:
             a, b = self.a + other.a, self.b + other.b
         else:
             e = other.d
@@ -173,37 +181,52 @@ class GaussianRational:
             g = math.gcd(a, b, d)
             if g != 1:
                 a, b, d = a // g, b // g, d // g
+        if d == 1 and not b:
+            return a
         z = object.__new__(GaussianRational)
         z.a, z.b, z.d = a, b, d
         return z
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + -other
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __neg__(self):
-        return _reduced(-self.a, -self.b, self.d)
+        return _stored(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        a, b, c, e = self.a, self.b, other.a, other.b
+        a, b = self.a, self.b
+        if type(other) is int:
+            c, e, d = other, 0, self.d
+        else:
+            c, e, d = other.a, other.b, self.d * other.d
         if b or e:
             a, b = a * c - b * e, a * e + b * c
         else:  # both real: no cross terms
             a *= c
-        d = self.d * other.d
         if d != 1:
             g = math.gcd(a, b, d)
             if g != 1:
                 a, b, d = a // g, b // g, d // g
+        if d == 1 and not b:
+            return a
         z = object.__new__(GaussianRational)
         z.a, z.b, z.d = a, b, d
         return z
 
+    __rmul__ = __mul__
+
     def scale(self, n: int):
         """The product with the integer ``n``."""
-        g = math.gcd(n, self.d)
-        return _reduced(self.a * (n // g), self.b * (n // g), self.d // g)
+        return self * n
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self.d == 1 and not self.b and self.a == other
         return (
             isinstance(other, GaussianRational)
             and self.a == other.a
@@ -212,13 +235,15 @@ class GaussianRational:
         )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 and not self.b else hash((self.a, self.b, self.d))
 
     def __bool__(self):
         return bool(self.a or self.b)
 
     def conj(self):
-        return _reduced(self.a, -self.b, self.d)
+        if self.b:
+            return _stored(self.a, -self.b, self.d)
+        return self.a if self.d == 1 else self  # a real value is its own conjugate
 
     def inverse(self):
         n = self.a * self.a + self.b * self.b
@@ -241,22 +266,31 @@ class GaussianRational:
         return f"{re}{sign}{istr}"
 
 
-def _reduced(a, b, d):
-    """A ``GaussianRational`` from a triple that is already reduced."""
+def _stored(a, b, d):
+    """The stored form of the reduced triple ``(a + b*i)/d``: the ``int`` ``a`` for a real integer."""
+    if d == 1 and not b:
+        return a
     z = object.__new__(GaussianRational)
     z.a, z.b, z.d = a, b, d
     return z
 
 
 def _gaussian(a, b, d):
-    """``(a + b*i)/d`` for integers with ``d > 0``, reduced by one gcd."""
-    if d != 1:
-        g = math.gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-    z = object.__new__(GaussianRational)  # _reduced, inlined on the hot path
-    z.a, z.b, z.d = a, b, d
-    return z
+    """``(a + b*i)/d`` for integers with ``d > 0``, reduced by one gcd, in stored form."""
+    g = math.gcd(a, b, d)
+    return _stored(a // g, b // g, d // g)
+
+
+def _from_parts(re, im=0):
+    """``re + im*i`` for rationals ``re`` and ``im``, in stored form."""
+    z = GaussianRational(re, im)
+    return _stored(z.a, z.b, z.d)
+
+
+def _gaussian_json(u) -> dict:
+    """The JSON parts of a Gaussian value in either form."""
+    re, im = (u, 0) if type(u) is int else (u.re, u.im)
+    return {"re": _decimal(re), "im": _decimal(im)}
 
 
 MAX_RADICAND = 2**32  # trial division to sqrt(n) then takes at most 65,536 steps
@@ -268,7 +302,7 @@ def radical_product(s: int, t: int, c):
     ``sqrt(s)*sqrt(t) = g*sqrt(s*t/g^2)`` with ``g = gcd(s, t)``, which subsumes ``sqrt(s)**2 = s``.
     """
     g = math.gcd(s, t)
-    return (s // g) * (t // g), (c if g == 1 else c.scale(g))
+    return (s // g) * (t // g), (c if g == 1 else c * g)
 
 
 def squarefree_split(n: int):
@@ -495,10 +529,10 @@ class GaussianRationalRing(CoeffRing):
     kind = "gaussian_rational"
 
     def zero(self):
-        return GaussianRational(0, 0)
+        return 0
 
     def from_fraction(self, fr):
-        return GaussianRational(fr, 0)
+        return _from_parts(fr)
 
     def imaginary_unit(self):
         return GaussianRational(0, 1)
@@ -509,17 +543,17 @@ class GaussianRationalRing(CoeffRing):
     mul = staticmethod(operator.mul)
 
     def div(self, u, v):
-        return u * v.inverse()
+        return u * (GaussianRational(v) if type(v) is int else v).inverse()
 
     def conj(self, u):
-        return u.conj()
+        return u if type(u) is int else u.conj()
 
     def value_to_json(self, u):
-        return {"re": _decimal(u.re), "im": _decimal(u.im)}
+        return _gaussian_json(u)
 
     def value_from_json(self, data):
         data = json_mapping(data, "a Gaussian value", "re", "im")
-        return GaussianRational(_parse_fraction(data["re"]), _parse_fraction(data["im"]))
+        return _from_parts(_parse_fraction(data["re"]), _parse_fraction(data["im"]))
 
     def to_json(self):
         return {"kind": "gaussian_rational"}
@@ -595,7 +629,7 @@ class RadicalGaussianRing(CoeffRing):
         return {}
 
     def from_fraction(self, fr):
-        return self.from_gaussian(GaussianRational(fr, 0))
+        return self.from_gaussian(_from_parts(fr))
 
     def from_gaussian(self, g):
         return {1: g} if g else {}
@@ -606,7 +640,7 @@ class RadicalGaussianRing(CoeffRing):
     def sqrt_int(self, n: int):
         """The value ``sqrt(n)`` for a positive integer ``n``."""
         m, s = squarefree_split(n)
-        return {s: GaussianRational(m, 0)}
+        return {s: m}
 
     def add(self, u, v):
         return collect(self.term_scalars, chain(u.items(), v.items()))
@@ -619,7 +653,8 @@ class RadicalGaussianRing(CoeffRing):
         return collect(self.term_scalars, products)
 
     def conj(self, u):
-        return {s: c.conj() for s, c in u.items()}
+        conj = self.term_scalars.conj
+        return {s: conj(c) for s, c in u.items()}
 
     def to_str(self, u):
         if not u:
@@ -632,7 +667,7 @@ class RadicalGaussianRing(CoeffRing):
         return " + ".join(parts)
 
     def value_to_json(self, u):
-        return [{"rad": s, "re": _decimal(c.re), "im": _decimal(c.im)} for s, c in sorted(u.items())]
+        return [{"rad": s, **_gaussian_json(c)} for s, c in sorted(u.items())]
 
     def value_from_json(self, data):
         """Radicands are split to squarefree form and repeats are summed."""
@@ -646,8 +681,7 @@ class RadicalGaussianRing(CoeffRing):
                 if type(rad) is not int:
                     raise DomainError(f"radicand {rad!r} is not an integer")
                 m, s = squarefree_split(rad)
-                g = GaussianRational(_parse_fraction(item["re"]), _parse_fraction(item["im"]))
-                yield s, g.scale(m)
+                yield s, _from_parts(_parse_fraction(item["re"]), _parse_fraction(item["im"])) * m
 
         return collect(self.term_scalars, terms())
 
@@ -692,15 +726,16 @@ class PolyQuotientRing(CoeffRing):
     A value maps a term key ``(packed exponents, squarefree radicand)`` to a
     nonzero scalar of ``base.term_scalars``: over a base without radicals the
     radicand is 1 and the scalar a base value, and over ``gaussian_radical``
-    scalars it is a ``GaussianRational``, so that no radical dict nests in a
-    term.  The exponent of variable ``i`` is the :data:`EXPONENT_BITS` field
-    at bit ``16*i`` of one int, so a product of two terms adds their keys'
-    ints.  Operands hold exponents of at most :data:`MAX_EXPONENT`, so a sum
-    of two fields never carries into the next; it sets the field's top
-    (guard) bit when it passes the limit, and every result is tested for a
-    guard bit once, where its terms are visited anyway, raising
-    ``DomainError``.  ``monomials``, ``monomial``, ``from_scalar`` and the
-    JSON forms speak in ``(exponent tuple, base scalar)`` pairs.  A relation's
+    scalars it is a Gaussian value (``int`` or ``GaussianRational``), so
+    that no radical dict nests in a term.  The exponent of variable ``i`` is
+    the :data:`EXPONENT_BITS` field at bit ``16*i`` of one int, so a product
+    of two terms adds their keys' ints.  Operands hold exponents of at most
+    :data:`MAX_EXPONENT`, so a sum of two fields never carries into the next;
+    it sets the field's top (guard) bit when it passes the limit, and every
+    result is tested for a guard bit once, where its terms are visited
+    anyway, raising ``DomainError``.  ``monomials``, ``monomial``,
+    ``from_scalar`` and the JSON forms speak in ``(exponent tuple, base
+    scalar)`` pairs.  A relation's
     text or JSON-term ``rhs`` is read in ``PolyQuotientRing(base, variables)``;
     ``relation.rhs`` is always the value.
     """

@@ -39,6 +39,7 @@ RELATION = "tests/test_relation_forms.py"
 LANDI = "tests/test_landi.py"
 DRAWS = "tests/test_draws.py"
 POWER = "tests/test_power_rule.py"
+STORED = "tests/test_gaussian_stored_form.py"
 
 # (name, file under src/, exact old text, mutant text, test nodes that must fail)
 MUTANTS = [
@@ -253,6 +254,29 @@ MUTANTS = [
         "if b or e:",
         "if b:",
         ["tests/test_scalar_layer.py::test_products_and_sums_with_an_imaginary_part_match_fraction_pairs"],
+    ),
+    (
+        "gaussian-int-sum-unscaled",
+        "superalg/scalars.py",
+        "a, b = self.a + other * d, self.b",
+        "a, b = self.a + other, self.b",
+        [f"{STORED}::test_sums_and_differences_match_fraction_pairs"],
+    ),
+    (
+        "gaussian-integer-product-kept-as-triple",
+        "superalg/scalars.py",
+        "        if d == 1 and not b:\n            return a\n        z = object.__new__(GaussianRational)\n"
+        "        z.a, z.b, z.d = a, b, d\n        return z\n\n    __rmul__ = __mul__\n",
+        "        z = object.__new__(GaussianRational)\n"
+        "        z.a, z.b, z.d = a, b, d\n        return z\n\n    __rmul__ = __mul__\n",
+        [f"{STORED}::test_products_match_fraction_pairs"],
+    ),
+    (
+        "gaussian-integer-triple-hashes-as-triple",
+        "superalg/scalars.py",
+        "return hash(self.a) if self.d == 1 and not self.b else hash((self.a, self.b, self.d))",
+        "return hash((self.a, self.b, self.d))",
+        [f"{STORED}::test_a_directly_built_integer_equals_and_hashes_as_the_int"],
     ),
     (
         "uosp-odd-sign-flipped",
